@@ -440,7 +440,7 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	}, nil
 }
 
-// --- verified serving (protocol v3, server started with -verified) ---
+// --- verified serving (server started with -verified) ---
 
 // Root fetches the server's current Merkle state root. The root is a
 // commitment to the entire key/value state: two servers with the same
@@ -724,7 +724,7 @@ func (c *Client) dial() (*conn, error) {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(nc, c.opt.ReadBuffer)
-	if _, err := wire.ReadHello(br); err != nil {
+	if err := wire.ReadHello(br); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}

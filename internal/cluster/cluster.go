@@ -10,18 +10,16 @@
 // (StatusWrongShard carrying the owner's address). Both sides keep
 // serving while the layout changes underneath.
 //
-// A migration reuses the replication substrate's two guarantees: the
-// per-shard WAL is a prefix-consistent record of acknowledged
-// mutations, and replay is idempotent (puts as upserts, dels as
-// delete-if-present), so records may be shipped at-least-once. The
-// source snapshot-streams the shard via Engine.StreamState concurrent
-// with writers, chases the tail by reading the WAL segments the
-// snapshot rotation left behind, then flips ownership under a brief
-// write fence: new writes for the range are refused with a redirect,
-// in-flight batches drain behind an RWMutex barrier, the final tail
-// ships, and the target takes over. An acknowledged write is therefore
-// always either in the shipped prefix or refused-and-retried — never
-// silently dropped.
+// A migration is the replication substrate's state transfer (package
+// repl, transfer.go: fuzzy snapshot, WAL-tail chase, idempotent
+// at-least-once apply) with an ownership flip at the end. The source
+// bootstraps a repl.Source concurrent with writers, drains the tail
+// the snapshot rotation left behind, then flips ownership under a
+// brief write fence: new writes for the range are refused with a
+// redirect, in-flight batches drain behind an RWMutex barrier, the
+// final tail ships, and the target takes over. An acknowledged write
+// is therefore always either in the shipped prefix or
+// refused-and-retried — never silently dropped.
 //
 // Crash safety without consensus: ownership changes persist on both
 // sides in a small CRC-guarded map file, in an order that keeps every

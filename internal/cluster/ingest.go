@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"blinktree/internal/base"
 	"blinktree/internal/repl"
 	"blinktree/internal/shard"
 	"blinktree/internal/wal"
@@ -45,19 +44,20 @@ func (n *Node) BeginIngest(sh int) (already bool, version uint64, err error) {
 func (n *Node) AbortIngest() { n.migMu.Unlock() }
 
 // ServeIngest runs the target side of a migration stream after a
-// successful BeginIngest: wipe the range on FrameReset, apply
-// FrameRecords through the router (the target's own WAL group-commits
-// them, which is what makes the takeover durable), ack periodically
-// for flow control, and on FrameHandoff persist ownership BEFORE the
-// final ack — the ack is the source's permission to stop owning the
-// range, so the claim must already be durable.
+// successful BeginIngest. It lands the transfer frame sequence through
+// a repl.Applier — wipe the range on FrameReset, apply FrameRecords
+// (the target's own WAL group-commits them, which is what makes the
+// takeover durable) — acks periodically for flow control, and on
+// FrameHandoff persists ownership BEFORE the final ack: the ack is the
+// source's permission to stop owning the range, so the claim must
+// already be durable.
 func (n *Node) ServeIngest(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *shard.Router, sh int) error {
 	defer n.migMu.Unlock()
 	lo, hi := r.ShardSpan(sh)
 	var (
 		scratch  []byte
 		recs     []wal.Record
-		ops      []shard.Op
+		ap       = repl.NewApplier(r)
 		enc      wire.Buf
 		applied  uint64
 		sinceAck int
@@ -73,12 +73,12 @@ func (n *Node) ServeIngest(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *s
 		if err := wire.WriteFrame(bw, 0, wire.FrameMigAck, enc.B); err != nil {
 			return err
 		}
-		nc.SetWriteDeadline(time.Now().Add(migIOTimeout))
+		nc.SetWriteDeadline(time.Now().Add(repl.IOTimeout))
 		sinceAck = 0
 		return bw.Flush()
 	}
 	for {
-		nc.SetReadDeadline(time.Now().Add(migIOTimeout))
+		nc.SetReadDeadline(time.Now().Add(repl.IOTimeout))
 		id, code, payload, err := wire.ReadFrame(br, scratch)
 		if err != nil {
 			return fmt.Errorf("cluster: ingest range %d: %w", sh, err)
@@ -93,9 +93,12 @@ func (n *Node) ServeIngest(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *s
 		case wire.FrameReset:
 			// A (re)started stream: drop any partial copy from an
 			// earlier attempt before the fresh snapshot lands.
-			if err := wipeRange(r, lo, hi); err != nil {
+			if err := ap.Reset(lo, hi); err != nil {
 				return fmt.Errorf("cluster: wipe range %d: %w", sh, err)
 			}
+		case wire.FrameSnapEnd:
+			// The snapshot/tail boundary a follower commits its position
+			// at; a migration target keeps no position, so nothing to do.
 		case wire.FrameRecords:
 			_, _, rs, err := repl.DecodeRecords(payload, recs[:0])
 			if err != nil {
@@ -107,7 +110,7 @@ func (n *Node) ServeIngest(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *s
 					return fmt.Errorf("cluster: record for key %d outside range %d [%d,%d]", rec.Key, sh, lo, hi)
 				}
 			}
-			if err := applyRecords(r, recs, &ops); err != nil {
+			if err := ap.Apply(recs); err != nil {
 				return fmt.Errorf("cluster: ingest range %d: %w", sh, err)
 			}
 			applied += uint64(len(recs))
@@ -130,57 +133,6 @@ func (n *Node) ServeIngest(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *s
 			return sendAck(true)
 		default:
 			return fmt.Errorf("cluster: unexpected frame %d on migration stream", code)
-		}
-	}
-}
-
-// applyRecords re-applies shipped records through the router — puts as
-// upserts, dels as delete-if-present — the WAL replay contract that
-// makes at-least-once shipping safe.
-func applyRecords(r *shard.Router, recs []wal.Record, ops *[]shard.Op) error {
-	*ops = (*ops)[:0]
-	for _, rec := range recs {
-		switch rec.Kind {
-		case wal.KindPut:
-			*ops = append(*ops, shard.Op{Kind: shard.OpUpsert, Key: rec.Key, Value: rec.Value})
-		case wal.KindDel:
-			*ops = append(*ops, shard.Op{Kind: shard.OpDelete, Key: rec.Key})
-		}
-	}
-	for i, res := range r.ApplyBatch(*ops) {
-		if res.Err != nil && !((*ops)[i].Kind == shard.OpDelete && errors.Is(res.Err, base.ErrNotFound)) {
-			return fmt.Errorf("apply record: %w", res.Err)
-		}
-	}
-	return nil
-}
-
-// wipeRange deletes every pair in [lo, hi], batched through ApplyBatch
-// so the deletes are logged — the node's own recovery must not
-// resurrect wiped pairs.
-func wipeRange(r *shard.Router, lo, hi base.Key) error {
-	keys := make([]base.Key, 0, 2048)
-	ops := make([]shard.Op, 0, 2048)
-	for {
-		keys = keys[:0]
-		err := r.Range(lo, hi, func(k base.Key, _ base.Value) bool {
-			keys = append(keys, k)
-			return len(keys) < 2048
-		})
-		if err != nil {
-			return err
-		}
-		if len(keys) == 0 {
-			return nil
-		}
-		ops = ops[:0]
-		for _, k := range keys {
-			ops = append(ops, shard.Op{Kind: shard.OpDelete, Key: k})
-		}
-		for _, res := range r.ApplyBatch(ops) {
-			if res.Err != nil && !errors.Is(res.Err, base.ErrNotFound) {
-				return res.Err
-			}
 		}
 	}
 }

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
-	"blinktree/internal/base"
 	"blinktree/internal/repl"
 	"blinktree/internal/shard"
 	"blinktree/internal/wal"
@@ -16,16 +14,10 @@ import (
 )
 
 const (
-	// migBatch bounds records per FrameRecords frame (the repl shape).
-	migBatch = 512
 	// migWindow bounds shipped-minus-acked records before the source
 	// pauses — a slow target bounds the source's buffering, never its
 	// write path.
 	migWindow = 1 << 15
-	// migDialTimeout bounds the ingest dial + handshake; migIOTimeout
-	// bounds each frame write/read and the ack-progress wait.
-	migDialTimeout = 5 * time.Second
-	migIOTimeout   = 30 * time.Second
 	// migBootstraps bounds snapshot restarts after a checkpoint
 	// truncates the chase segment mid-stream.
 	migBootstraps = 5
@@ -38,11 +30,11 @@ const (
 // range reports so in the handshake and the source adopts the result;
 // otherwise the stream re-runs from a fresh snapshot.
 //
-// The sequence: snapshot-stream the shard via Engine.StreamState
-// (concurrent with writers), chase the WAL tail the snapshot rotation
-// left behind, fence the range (new writes refuse with a redirect,
-// in-flight batches drain behind the fence barrier), ship the final
-// tail, send FrameHandoff, and commit ownership once the target acks.
+// The sequence: bootstrap a repl.Source (snapshot concurrent with
+// writers), drain the WAL tail the snapshot rotation left behind, fence
+// the range (new writes refuse with a redirect, in-flight batches drain
+// behind the fence barrier), drain the final tail, send FrameHandoff,
+// and commit ownership once the target acks.
 func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 	if err := n.validShard(sh); err != nil {
 		return err
@@ -57,18 +49,19 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 	defer n.migMu.Unlock()
 
 	owner, pending, _ := n.OwnedInfo(sh)
-	lo, hi := r.ShardSpan(sh)
+	// reclaim wipes the local copy of a range the target owns. The wipe
+	// is logged like any delete, so recovery cannot resurrect it.
+	reclaim := func() error { return repl.NewApplier(r).Reset(r.ShardSpan(sh)) }
 	switch {
 	case owner == target:
 		// Already handed off. Reclaim any local copy a crash left
 		// behind mid-wipe, then report success (idempotence).
-		return wipeRange(r, lo, hi)
+		return reclaim()
 	case owner != n.self:
 		return fmt.Errorf("%w: range %d is owned by %s", errNotOwner, sh, owner)
 	case pending != "" && pending != target:
 		return fmt.Errorf("cluster: range %d is fenced toward %s, not %s", sh, pending, target)
 	}
-	wasFenced := pending == target
 
 	n.migShard.Store(int64(sh))
 	n.phase.Store(PhaseSnapshot)
@@ -77,7 +70,8 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 		n.phase.Store(PhaseIdle)
 	}()
 
-	sess, already, tgtVersion, err := dialIngest(target, sh)
+	var done atomic.Bool // set by the target's post-handoff ack
+	sess, already, tgtVersion, err := dialIngest(target, sh, &done)
 	if err != nil {
 		return fmt.Errorf("cluster: ingest handshake with %s: %w", target, err)
 	}
@@ -87,16 +81,16 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 		if err := n.adopt(sh, target, tgtVersion); err != nil {
 			return err
 		}
-		return wipeRange(r, lo, hi)
+		return reclaim()
 	}
-	defer sess.close()
+	defer sess.Close()
 
 	// The handshake confirmed the target does not own the range (and
 	// its durable claim would have survived any crash), so until our
 	// FrameHandoff is on the wire the target cannot own it — failures
 	// before that point may safely un-fence and resume serving.
 	handoffSent := false
-	fenced := wasFenced
+	fenced := pending == target // a crashed attempt already fenced it
 	fail := func(err error) error {
 		if fenced && !handoffSent {
 			n.unfence(sh)
@@ -104,88 +98,39 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 		return err
 	}
 
-	eng := r.Engine(sh)
-	var (
-		enc  wire.Buf
-		recs = make([]wal.Record, 0, migBatch)
-		tr   *wal.TailReader
-	)
-	defer func() {
-		if tr != nil {
-			tr.Close()
+	src := repl.NewSource(r.Engine(sh), sh, func(id uint64, code uint8, payload []byte, records int) error {
+		err := sess.Ship(id, code, payload, records)
+		if err == nil {
+			n.shipped.Add(uint64(records))
 		}
-	}()
-	ship := func() error {
-		repl.AppendRecords(&enc, 0, 0, recs)
-		count := uint64(len(recs))
-		recs = recs[:0]
-		if err := sess.writeFrame(uint64(sh), wire.FrameRecords, enc.B); err != nil {
-			return err
-		}
-		n.shipped.Add(count)
-		sess.shipped += count
-		return sess.waitWindow()
-	}
-	// bootstrap (re)starts the stream: wipe the target's copy, ship a
-	// fuzzy snapshot, and leave tr tailing the rotation's segment.
-	bootstrap := func() error {
-		if tr != nil {
-			tr.Close()
-			tr = nil
-		}
-		recs = recs[:0]
-		if err := sess.writeFrame(uint64(sh), wire.FrameReset, nil); err != nil {
-			return err
-		}
-		seg, err := eng.StreamState(func(k base.Key, v base.Value) error {
-			recs = append(recs, wal.Record{Kind: wal.KindPut, Key: k, Value: v})
-			if len(recs) == migBatch {
-				return ship()
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("snapshot stream: %w", err)
-		}
-		if len(recs) > 0 {
-			if err := ship(); err != nil {
-				return err
-			}
-		}
-		tr = wal.NewTailReader(eng.WALDir(), seg, wal.SegmentHeaderLen)
-		return nil
-	}
-	// drain ships committed tail records until caught up; a checkpoint
-	// may truncate the chase segment underneath (ErrTruncated), which
-	// restarts the stream from a fresh snapshot.
+		return err
+	})
+	defer src.Close()
+	// drain ships committed tail records until caught up. A checkpoint
+	// may truncate the chase segment underneath (ErrTruncated); the
+	// retry policy here is to restart the stream from a fresh snapshot,
+	// a bounded number of times per migration.
 	bootstraps := 0
 	drain := func() error {
 		for {
-			rs, err := tr.Next(migBatch, recs[:0])
+			shipped, err := src.Drain(repl.Position{})
 			if errors.Is(err, wal.ErrTruncated) {
 				if bootstraps++; bootstraps > migBootstraps {
 					return fmt.Errorf("chase segment truncated %d times", bootstraps)
 				}
-				if err := bootstrap(); err != nil {
-					return err
-				}
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			recs = rs
-			if len(recs) == 0 {
+				n.logf("cluster: range %d chase segment truncated, re-bootstrapping", sh)
+				err = src.Bootstrap()
+			} else if err == nil && shipped == 0 {
 				return nil
 			}
-			if err := ship(); err != nil {
+			if err != nil {
 				return err
 			}
 		}
 	}
 
-	if err := bootstrap(); err != nil {
-		return fail(fmt.Errorf("cluster: migrate range %d: %w", sh, err))
+	if err := src.Bootstrap(); err != nil {
+		return fail(fmt.Errorf("cluster: migrate range %d: snapshot stream: %w", sh, err))
 	}
 	n.phase.Store(PhaseChase)
 	if err := drain(); err != nil {
@@ -210,13 +155,13 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 	}
 
 	newVersion := max(n.Version(), tgtVersion) + 1
-	enc.Reset()
+	var enc wire.Buf
 	enc.U64(newVersion)
 	handoffSent = true
-	if err := sess.writeFrame(uint64(sh), wire.FrameHandoff, enc.B); err != nil {
+	if err := sess.Ship(uint64(sh), wire.FrameHandoff, enc.B, 0); err != nil {
 		return fmt.Errorf("cluster: migrate range %d: handoff: %w", sh, err)
 	}
-	if err := sess.awaitDone(); err != nil {
+	if err := sess.Await(done.Load); err != nil {
 		// The target may or may not have committed; stay fenced — the
 		// next Migrate resolves it via the handshake.
 		return fmt.Errorf("cluster: migrate range %d: awaiting handoff ack: %w", sh, err)
@@ -229,10 +174,9 @@ func (n *Node) Migrate(r *shard.Router, sh int, target string) error {
 	}
 	n.migrations.Add(1)
 	n.logf("cluster: migrated range %d to %s (v%d, %d records shipped, fence %v)",
-		sh, target, newVersion, sess.shipped, fence.Round(time.Microsecond))
-	// The target serves the range now; the local copy is garbage. The
-	// wipe is logged like any delete, so recovery cannot resurrect it.
-	if err := wipeRange(r, lo, hi); err != nil {
+		sh, target, newVersion, sess.Shipped(), fence.Round(time.Microsecond))
+	// The target serves the range now; the local copy is garbage.
+	if err := reclaim(); err != nil {
 		return fmt.Errorf("cluster: reclaim migrated range %d: %w", sh, err)
 	}
 	return nil
@@ -272,32 +216,23 @@ func (n *Node) ReclaimRemote(r *shard.Router) error {
 		if n.state[sh].Load() != rangeRemote {
 			continue
 		}
-		lo, hi := r.ShardSpan(sh)
-		if err := wipeRange(r, lo, hi); err != nil {
+		if err := repl.NewApplier(r).Reset(r.ShardSpan(sh)); err != nil {
 			return fmt.Errorf("cluster: reclaim range %d: %w", sh, err)
 		}
 	}
 	return nil
 }
 
-// migSession is the source's connection to the target's ingest side.
-type migSession struct {
-	nc      net.Conn
-	bw      *bufio.Writer
-	shipped uint64
-
-	acked   atomic.Uint64
-	done    atomic.Bool
-	kick    chan struct{}
-	dead    chan struct{}
-	readErr error // set before dead closes
-}
-
 // dialIngest opens a migration stream to the target: dial, hello,
 // OpMigrate ingest handshake. already=true reports the target already
-// owns the range (no stream; the connection is closed).
-func dialIngest(target string, sh int) (sess *migSession, already bool, version uint64, err error) {
-	nc, err := net.DialTimeout("tcp", target, migDialTimeout)
+// owns the range (no stream; the connection is closed). done is set
+// when the target's ack carries the post-handoff commit flag.
+func dialIngest(target string, sh int, done *atomic.Bool) (sess *repl.Session, already bool, version uint64, err error) {
+	var b wire.Buf
+	b.U8(1) // mode 1: ingest
+	b.U32(uint32(sh))
+	b.U16(0)
+	nc, br, payload, err := repl.Dial(target, wire.OpMigrate, b.B)
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -306,31 +241,6 @@ func dialIngest(target string, sh int) (sess *migSession, already bool, version 
 			nc.Close()
 		}
 	}()
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	nc.SetDeadline(time.Now().Add(migDialTimeout))
-	if err := wire.WriteHello(nc); err != nil {
-		return nil, false, 0, err
-	}
-	br := bufio.NewReaderSize(nc, 64<<10)
-	if _, err := wire.ReadHello(br); err != nil {
-		return nil, false, 0, fmt.Errorf("hello: %w", err)
-	}
-	var b wire.Buf
-	b.U8(1) // mode 1: ingest
-	b.U32(uint32(sh))
-	b.U16(0)
-	if err := wire.WriteFrame(nc, 1, wire.OpMigrate, b.B); err != nil {
-		return nil, false, 0, err
-	}
-	_, status, payload, err := wire.ReadFrame(br, nil)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	if status != wire.StatusOK {
-		return nil, false, 0, wire.StatusError(status, string(payload))
-	}
 	d := wire.Dec{B: payload}
 	alreadyB := d.U8()
 	version = d.U64()
@@ -338,126 +248,22 @@ func dialIngest(target string, sh int) (sess *migSession, already bool, version 
 		return nil, false, 0, errors.New("malformed ingest handshake response")
 	}
 	if alreadyB != 0 {
-		nc.Close()
 		return nil, true, version, nil
 	}
-	nc.SetDeadline(time.Time{})
-	s := &migSession{
-		nc:   nc,
-		bw:   bufio.NewWriterSize(nc, 64<<10),
-		kick: make(chan struct{}, 1),
-		dead: make(chan struct{}),
-	}
-	go s.readAcks(br)
-	return s, false, version, nil
-}
-
-// readAcks drains FrameMigAck frames, tracking applied counts and the
-// final done flag.
-func (s *migSession) readAcks(br *bufio.Reader) {
-	var scratch []byte
-	for {
-		_, code, payload, err := wire.ReadFrame(br, scratch)
-		if err != nil {
-			s.readErr = err
-			close(s.dead)
-			return
-		}
-		if cap(payload) > cap(scratch) {
-			scratch = payload[:0]
-		}
+	// FrameMigAck: applied u64 | done u8.
+	ack := func(code uint8, payload []byte) (uint64, error) {
 		if code != wire.FrameMigAck {
-			s.readErr = fmt.Errorf("unexpected frame %d on migration stream", code)
-			close(s.dead)
-			return
+			return 0, fmt.Errorf("unexpected frame %d on migration stream", code)
 		}
 		d := wire.Dec{B: payload}
-		applied := d.U64()
-		done := d.U8()
+		applied, doneB := d.U64(), d.U8()
 		if !d.Done() {
-			s.readErr = errors.New("malformed migration ack")
-			close(s.dead)
-			return
+			return 0, errors.New("malformed migration ack")
 		}
-		s.acked.Store(applied)
-		if done != 0 {
-			s.done.Store(true)
+		if doneB != 0 {
+			done.Store(true)
 		}
-		select {
-		case s.kick <- struct{}{}:
-		default:
-		}
+		return applied, nil
 	}
-}
-
-// writeFrame buffers one frame, with a write deadline covering any
-// implicit flush.
-func (s *migSession) writeFrame(id uint64, code uint8, payload []byte) error {
-	select {
-	case <-s.dead:
-		return fmt.Errorf("migration stream closed: %w", s.readErr)
-	default:
-	}
-	s.nc.SetWriteDeadline(time.Now().Add(migIOTimeout))
-	return wire.WriteFrame(s.bw, id, code, payload)
-}
-
-// waitWindow flushes and pauses while the shipped-minus-acked window
-// is full, failing if the target makes no progress for migIOTimeout.
-func (s *migSession) waitWindow() error {
-	if s.shipped-s.acked.Load() < migWindow {
-		return nil
-	}
-	if err := s.flush(); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(migIOTimeout)
-	for s.shipped-s.acked.Load() >= migWindow {
-		if time.Now().After(deadline) {
-			return errors.New("migration target stalled (ack window full)")
-		}
-		select {
-		case <-s.kick:
-			deadline = time.Now().Add(migIOTimeout)
-		case <-s.dead:
-			return fmt.Errorf("migration stream closed: %w", s.readErr)
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// flush pushes buffered frames to the wire.
-func (s *migSession) flush() error {
-	s.nc.SetWriteDeadline(time.Now().Add(migIOTimeout))
-	return s.bw.Flush()
-}
-
-// awaitDone flushes and waits for the target's post-handoff ack.
-func (s *migSession) awaitDone() error {
-	if err := s.flush(); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(migIOTimeout)
-	for !s.done.Load() {
-		if time.Now().After(deadline) {
-			return errors.New("timed out")
-		}
-		select {
-		case <-s.kick:
-		case <-s.dead:
-			if s.done.Load() {
-				return nil
-			}
-			return fmt.Errorf("stream closed: %w", s.readErr)
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// close tears the session down.
-func (s *migSession) close() {
-	s.nc.Close()
-	<-s.dead // reader exits on the closed conn
+	return repl.NewSession(nc, br, bufio.NewWriterSize(nc, 64<<10), migWindow, nil, ack), false, version, nil
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blinktree/internal/base"
 	"blinktree/internal/shard"
 	"blinktree/internal/verify"
 	"blinktree/internal/wal"
@@ -23,37 +22,17 @@ type FeedConfig struct {
 	// records not yet acknowledged by the follower before the feed
 	// pauses streaming. Default 65536.
 	Window int
-	// Poll is how long the feed sleeps when fully caught up with every
-	// shard's committer. Default 2ms.
-	Poll time.Duration
-	// AckTimeout is the liveness bound on a full window: a follower
-	// that keeps the window full without acknowledging anything for
-	// this long is declared dead and its feed ends. This is what
-	// stops a stalled (or malicious) peer from wedging a snapshot
-	// bootstrap — and with it the engine's checkpoint lock — forever.
-	// Default 30s.
-	AckTimeout time.Duration
 	// Logf receives feed-level notices. Default: discard.
 	Logf func(format string, args ...any)
-	// Version is the connection's negotiated protocol version. Root
-	// frames (verified replication) are published only at ≥ 3 — an
-	// older follower would reject the unknown frame code.
-	Version uint16
 	// RootEvery is how often a verified primary seals and publishes a
 	// per-shard state root to this follower. Default 1s. Ignored when
-	// the primary is unverified or Version < 3.
+	// the primary is unverified.
 	RootEvery time.Duration
 }
 
 func (c *FeedConfig) fill() {
 	if c.Window <= 0 {
 		c.Window = 1 << 16
-	}
-	if c.Poll <= 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 30 * time.Second
 	}
 	if c.RootEvery <= 0 {
 		c.RootEvery = time.Second
@@ -115,45 +94,29 @@ func (g *Registry) Snapshot() []FeedStats {
 	return out
 }
 
-// Feed streams one follower's replication feed: per-shard WAL tails
-// multiplexed onto one connection, with snapshot bootstrap for
-// positions the log no longer covers and ack-based backpressure.
+// Feed streams one follower's replication feed: one transfer Source per
+// shard multiplexed onto one Session, with snapshot bootstrap for
+// positions the log no longer covers and, on a verified primary,
+// sealed state roots published at exact stream positions.
 type Feed struct {
-	r      *shard.Router
-	cfg    FeedConfig
-	nc     net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	remote string
-	stop   <-chan struct{}
+	r    *shard.Router
+	cfg  FeedConfig
+	sess *Session
 
-	shipped atomic.Uint64
-	acked   atomic.Uint64
-	resets  atomic.Uint64
-	roots   atomic.Uint64
-	lastAck atomic.Int64 // unix nanos
-
-	ackKick chan struct{} // 1-buffered; readAcks nudges waitWindow
-	dead    chan struct{} // closed when the ack reader fails
-	deadErr error         // set before dead closes
+	resets atomic.Uint64
+	roots  atomic.Uint64
 }
 
 func (f *Feed) stats() FeedStats {
-	s := FeedStats{
-		Remote:  f.remote,
-		Shipped: f.shipped.Load(),
-		Acked:   f.acked.Load(),
+	return FeedStats{
+		Remote:  f.sess.remote,
+		Shipped: f.sess.shipped.Load(),
+		Acked:   f.sess.acked.Load(),
 		Resets:  f.resets.Load(),
 		Roots:   f.roots.Load(),
+		LastAck: time.Unix(0, f.sess.lastAck.Load()),
 	}
-	if ns := f.lastAck.Load(); ns != 0 {
-		s.LastAck = time.Unix(0, ns)
-	}
-	return s
 }
-
-// errFeedStopped ends a feed cleanly on server drain.
-var errFeedStopped = errors.New("repl: feed stopped")
 
 // ServeFeed runs a follower feed on an established connection whose
 // OpFollow handshake already succeeded (the OK response is on the
@@ -163,109 +126,82 @@ var errFeedStopped = errors.New("repl: feed stopped")
 // feed for metrics while it runs.
 func ServeFeed(nc net.Conn, br *bufio.Reader, bw *bufio.Writer, r *shard.Router, pos []Position, cfg FeedConfig, stop <-chan struct{}, reg *Registry) error {
 	cfg.fill()
-	f := &Feed{
-		r: r, cfg: cfg, nc: nc, br: br, bw: bw,
-		remote:  nc.RemoteAddr().String(),
-		stop:    stop,
-		ackKick: make(chan struct{}, 1),
-		dead:    make(chan struct{}),
-	}
-	f.lastAck.Store(time.Now().UnixNano()) // liveness baseline until the first real ack
+	shards := r.Shards()
+	f := &Feed{r: r, cfg: cfg}
+	f.sess = NewSession(nc, br, bw, cfg.Window, stop, func(code uint8, payload []byte) (uint64, error) {
+		if code != wire.FrameAck {
+			return 0, fmt.Errorf("sent frame %d, want ack", code)
+		}
+		return ackApplied(payload, shards)
+	})
+	defer f.sess.Close()
 	if reg != nil {
 		reg.add(f)
 		defer reg.remove(f)
 	}
-	ackDone := make(chan struct{})
-	defer func() {
-		nc.Close()
-		<-ackDone
-	}()
-	go f.readAcks(ackDone)
-
 	err := f.stream(pos)
-	if errors.Is(err, errFeedStopped) {
+	if errors.Is(err, errStopped) {
 		return nil
 	}
 	return err
 }
 
-// stream is the feed's single writer loop: round-robin over shards,
-// ship whatever each WAL tail holds, bootstrap shards the log no
-// longer covers, sleep briefly when everything is caught up.
 // rootSeal is a state root pinned to the exact WAL position it
-// covers, waiting for the feed to ship every record at or below that
+// covers, waiting for the feed to ship every record below that
 // position before it can be published as a FrameRoot.
 type rootSeal struct {
 	root verify.Hash
-	seg  uint64
-	off  int64
+	pos  Position
 }
 
+// stream is the feed's single writer loop: round-robin over shards,
+// ship one frame of whatever each tail holds, bootstrap shards the log
+// no longer covers, sleep briefly when everything is caught up.
 func (f *Feed) stream(pos []Position) error {
 	shards := f.r.Shards()
-	readers := make([]*wal.TailReader, shards)
-	defer func() {
-		for _, t := range readers {
-			if t != nil {
-				t.Close()
-			}
-		}
-	}()
-	for i := range readers {
-		if !pos[i].fresh() {
-			readers[i] = wal.NewTailReader(f.r.Engine(i).WALDir(), pos[i].Seg, pos[i].Off)
+	srcs := make([]*Source, shards)
+	boot := make([]bool, shards) // shard's next round starts with a snapshot
+	for i := range srcs {
+		srcs[i] = NewSource(f.r.Engine(i), i, f.sess.Ship)
+		defer srcs[i].Close()
+		if boot[i] = pos[i].fresh(); !boot[i] {
+			srcs[i].Resume(pos[i])
 		}
 	}
-	recs := make([]wal.Record, 0, maxFrameRecords)
-	verified := f.cfg.Version >= 3 && f.r.Verified()
+	verified := f.r.Verified()
 	seals := make([]*rootSeal, shards)
 	lastRoot := make([]time.Time, shards)
 	var enc wire.Buf
 	for {
-		if err := f.checkLive(); err != nil {
-			return err
-		}
 		shippedThisRound := 0
-		for i := 0; i < shards; i++ {
-			if readers[i] == nil {
-				t, err := f.bootstrap(i, &enc)
-				if err != nil {
+		for i, src := range srcs {
+			if boot[i] {
+				f.resets.Add(1)
+				if err := src.Bootstrap(); err != nil {
 					return err
 				}
-				readers[i] = t
-				seals[i] = nil
+				boot[i], seals[i] = false, nil
 				shippedThisRound++
 				continue
 			}
 			if verified && seals[i] == nil && time.Since(lastRoot[i]) >= f.cfg.RootEvery {
-				root, sseg, soff, err := f.r.Engine(i).SealedRoot()
+				root, seg, off, err := f.r.Engine(i).SealedRoot()
 				if err != nil {
 					return err
 				}
-				seals[i] = &rootSeal{root: root, seg: sseg, off: soff}
+				seals[i] = &rootSeal{root: root, pos: Position{Seg: seg, Off: off}}
 			}
-			if err := f.waitWindow(); err != nil {
-				return err
-			}
-			maxN := maxFrameRecords
+			var limit Position
 			if s := seals[i]; s != nil {
-				rseg, roff := readers[i].Pos()
-				switch {
-				case rseg > s.seg || (rseg == s.seg && roff > s.off):
-					// The reader already passed the sealed position (it
-					// was overshot mid-frame by an earlier round): this
-					// seal can no longer be published at an exact
-					// boundary, so drop it and seal afresh later.
-					seals[i] = nil
-				case rseg == s.seg && roff == s.off:
-					// Every record at or below the seal has shipped and
-					// nothing above it: publish the root at this exact
+				if src.Pos() == s.pos {
+					// Every record below the seal has shipped and nothing
+					// at or above it: publish the root at this exact
 					// boundary.
 					enc.Reset()
-					enc.U64(s.seg)
-					enc.U64(uint64(s.off))
+					enc.U64(s.pos.Seg)
+					enc.U64(uint64(s.pos.Off))
 					enc.B = append(enc.B, s.root[:]...)
-					if err := f.writeFrame(uint64(i), wire.FrameRoot, enc.B); err != nil {
+					if err := f.sess.Ship(uint64(i), wire.FrameRoot, enc.B, 0); err != nil {
 						return err
 					}
 					f.roots.Add(1)
@@ -273,187 +209,31 @@ func (f *Feed) stream(pos []Position) error {
 					seals[i] = nil
 					shippedThisRound++
 					continue
-				case rseg == s.seg:
-					// Cap the read so the next frame ends exactly at
-					// the sealed position (records are fixed-length).
-					if remain := int((s.off - roff) / wal.RecordLen); remain < maxN {
-						maxN = remain
-					}
 				}
+				limit = s.pos
 			}
-			var err error
-			recs, err = readers[i].Next(maxN, recs[:0])
+			n, err := src.Drain(limit)
 			if errors.Is(err, wal.ErrTruncated) {
 				// A checkpoint outran this follower: the suffix it needs
 				// is gone. Fall back to a snapshot bootstrap next round.
-				f.cfg.Logf("repl feed %s: shard %d position truncated, re-bootstrapping", f.remote, i)
-				readers[i].Close()
-				readers[i] = nil
+				f.cfg.Logf("repl feed %s: shard %d position truncated, re-bootstrapping", f.sess.remote, i)
+				boot[i] = true
 				continue
 			}
 			if err != nil {
 				return err
 			}
-			if len(recs) == 0 {
-				continue
+			if n > 0 {
+				shippedThisRound++
 			}
-			seg, off := readers[i].Pos()
-			AppendRecords(&enc, seg, off, recs)
-			if err := f.writeFrame(uint64(i), wire.FrameRecords, enc.B); err != nil {
-				return err
-			}
-			f.shipped.Add(uint64(len(recs)))
-			shippedThisRound++
 		}
-		if err := f.flush(); err != nil {
+		if err := f.sess.Flush(); err != nil {
 			return err
 		}
 		if shippedThisRound == 0 {
-			select {
-			case <-f.stop:
-				return errFeedStopped
-			case <-f.dead:
-				return f.deadErr
-			case <-time.After(f.cfg.Poll):
+			if err := f.sess.wait(feedPoll); err != nil {
+				return err
 			}
-		}
-	}
-}
-
-// bootstrap ships shard i from scratch: reset, fuzzy state snapshot,
-// snapshot-end carrying the resume segment. Returns the tail reader
-// positioned at that segment. The snapshot scan holds the engine's
-// checkpoint lock and pauses its background compression, so
-// backpressure stalls inside it stall checkpoints too — the price of
-// never losing a pair between snapshot and stream.
-func (f *Feed) bootstrap(i int, enc *wire.Buf) (*wal.TailReader, error) {
-	f.resets.Add(1)
-	if err := f.writeFrame(uint64(i), wire.FrameReset, nil); err != nil {
-		return nil, err
-	}
-	e := f.r.Engine(i)
-	recs := make([]wal.Record, 0, maxFrameRecords)
-	ship := func() error {
-		if len(recs) == 0 {
-			return nil
-		}
-		if err := f.waitWindow(); err != nil {
-			return err
-		}
-		AppendRecords(enc, 0, 0, recs)
-		if err := f.writeFrame(uint64(i), wire.FrameRecords, enc.B); err != nil {
-			return err
-		}
-		f.shipped.Add(uint64(len(recs)))
-		recs = recs[:0]
-		return f.flush()
-	}
-	seg, err := e.StreamState(func(k base.Key, v base.Value) error {
-		recs = append(recs, wal.Record{Kind: wal.KindPut, Key: k, Value: v})
-		if len(recs) == maxFrameRecords {
-			return ship()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := ship(); err != nil {
-		return nil, err
-	}
-	enc.Reset()
-	enc.U64(seg)
-	if err := f.writeFrame(uint64(i), wire.FrameSnapEnd, enc.B); err != nil {
-		return nil, err
-	}
-	if err := f.flush(); err != nil {
-		return nil, err
-	}
-	return wal.NewTailReader(e.WALDir(), seg, wal.SegmentHeaderLen), nil
-}
-
-// waitWindow blocks while the shipped-minus-acked window is full,
-// bounded by the ack-liveness timeout: a follower that reads forever
-// without acknowledging must not hold the feed (and, during a
-// bootstrap, the engine's checkpoint lock) hostage.
-func (f *Feed) waitWindow() error {
-	for f.shipped.Load()-f.acked.Load() >= uint64(f.cfg.Window) {
-		if since := time.Since(time.Unix(0, f.lastAck.Load())); since > f.cfg.AckTimeout {
-			return fmt.Errorf("repl: follower %s stalled: window full with no ack for %v", f.remote, since.Round(time.Second))
-		}
-		select {
-		case <-f.stop:
-			return errFeedStopped
-		case <-f.dead:
-			return f.deadErr
-		case <-f.ackKick:
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// checkLive folds the stop and connection-death signals into one poll.
-func (f *Feed) checkLive() error {
-	select {
-	case <-f.stop:
-		return errFeedStopped
-	case <-f.dead:
-		return f.deadErr
-	default:
-		return nil
-	}
-}
-
-func (f *Feed) writeFrame(id uint64, code uint8, payload []byte) error {
-	return wire.WriteFrame(f.bw, id, code, payload)
-}
-
-// flush drains the buffered writer with a generous deadline: a
-// follower stalled past it is indistinguishable from a dead one.
-func (f *Feed) flush() error {
-	if f.bw.Buffered() == 0 {
-		return nil
-	}
-	f.nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	return f.bw.Flush()
-}
-
-// readAcks is the feed's read half: it consumes FrameAck frames,
-// advancing the acked counter and nudging a blocked waitWindow. Any
-// read error marks the feed dead (the stream loop observes it); the
-// loop exits when ServeFeed closes the connection.
-func (f *Feed) readAcks(done chan<- struct{}) {
-	defer close(done)
-	f.nc.SetReadDeadline(time.Time{})
-	shards := f.r.Shards()
-	var buf []byte
-	for {
-		_, code, payload, err := wire.ReadFrame(f.br, buf)
-		if err != nil {
-			f.deadErr = fmt.Errorf("repl: follower %s: %w", f.remote, err)
-			close(f.dead)
-			return
-		}
-		if cap(payload) > cap(buf) {
-			buf = payload[:0]
-		}
-		if code != wire.FrameAck {
-			f.deadErr = fmt.Errorf("repl: follower %s sent frame %d, want ack", f.remote, code)
-			close(f.dead)
-			return
-		}
-		_, applied, err := decodeAck(payload, shards)
-		if err != nil {
-			f.deadErr = err
-			close(f.dead)
-			return
-		}
-		f.acked.Store(applied)
-		f.lastAck.Store(time.Now().UnixNano())
-		select {
-		case f.ackKick <- struct{}{}:
-		default:
 		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"blinktree/internal/base"
 	"blinktree/internal/shard"
 	"blinktree/internal/verify"
 	"blinktree/internal/wal"
@@ -33,11 +32,6 @@ type FollowerConfig struct {
 	// durability directory). Empty = positions live only in memory:
 	// every restart bootstraps from a fresh snapshot.
 	Dir string
-	// DialTimeout bounds each dial + handshake. Default 5s.
-	DialTimeout time.Duration
-	// Backoff is the initial reconnect delay after a broken session;
-	// it doubles up to 4s. Default 250ms.
-	Backoff time.Duration
 	// AckEvery is how many applied records between acks (and position
 	// persists). Default 1024.
 	AckEvery int
@@ -45,13 +39,11 @@ type FollowerConfig struct {
 	Logf func(format string, args ...any)
 }
 
+// followerBackoff is the initial reconnect delay after a broken
+// session; it doubles up to 4s.
+const followerBackoff = 250 * time.Millisecond
+
 func (c *FollowerConfig) fill() {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 250 * time.Millisecond
-	}
 	if c.AckEvery <= 0 {
 		c.AckEvery = 1024
 	}
@@ -181,7 +173,7 @@ func (f *Follower) Stats() FollowerStats {
 // run is the reconnect loop.
 func (f *Follower) run() {
 	defer close(f.done)
-	backoff := f.cfg.Backoff
+	backoff := followerBackoff
 	for {
 		select {
 		case <-f.stop:
@@ -200,7 +192,7 @@ func (f *Follower) run() {
 			return
 		}
 		if progressed {
-			backoff = f.cfg.Backoff
+			backoff = followerBackoff
 		}
 		f.cfg.Logf("repl follower: %v (reconnecting in %v)", err, backoff)
 		select {
@@ -223,56 +215,32 @@ var errPermanent = errors.New("permanent")
 // stop; progressed reports whether any record was applied (resets the
 // reconnect backoff).
 func (f *Follower) session() (progressed bool, err error) {
-	nc, err := net.DialTimeout("tcp", f.cfg.Primary, f.cfg.DialTimeout)
-	if err != nil {
-		return false, err
-	}
-	defer nc.Close()
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	nc.SetDeadline(time.Now().Add(f.cfg.DialTimeout))
-	if err := wire.WriteHello(nc); err != nil {
-		return false, err
-	}
-	br := bufio.NewReaderSize(nc, 64<<10)
-	bw := bufio.NewWriterSize(nc, 16<<10)
-	if _, err := wire.ReadHello(br); err != nil {
-		return false, fmt.Errorf("repl: hello: %w", err)
-	}
-
 	// Handshake: ship our positions, expect OK + the primary's shard
 	// count (already validated server-side; double-checked here).
 	var enc wire.Buf
 	f.mu.Lock()
 	AppendFollowRequest(&enc, f.pos)
 	f.mu.Unlock()
-	if err := wire.WriteFrame(nc, 1, wire.OpFollow, enc.B); err != nil {
-		return false, err
-	}
-	_, status, payload, err := wire.ReadFrame(br, nil)
+	nc, br, payload, err := Dial(f.cfg.Primary, wire.OpFollow, enc.B)
 	if err != nil {
-		return false, fmt.Errorf("repl: handshake: %w", err)
-	}
-	if status != wire.StatusOK {
-		err := wire.StatusError(status, string(payload))
-		if status == wire.StatusBadRequest {
+		var refusal *wire.Error
+		if errors.As(err, &refusal) && refusal.Code == wire.StatusBadRequest {
 			return false, fmt.Errorf("%w: primary rejected follow: %v", errPermanent, err)
 		}
-		return false, fmt.Errorf("repl: primary rejected follow: %w", err)
+		return false, fmt.Errorf("repl: follow %s: %w", f.cfg.Primary, err)
 	}
+	defer nc.Close()
 	d := wire.Dec{B: payload}
 	if n := int(d.U32()); d.Err != nil || n != f.r.Shards() {
 		return false, fmt.Errorf("%w: primary has %d shards, follower has %d", errPermanent, n, f.r.Shards())
 	}
-	nc.SetDeadline(time.Time{})
 	f.connected.Store(true)
 	defer f.connected.Store(false)
 	f.mu.Lock()
 	f.lastErr = ""
 	f.mu.Unlock()
 
-	return f.apply(nc, br, bw)
+	return f.apply(nc, br, bufio.NewWriterSize(nc, 16<<10))
 }
 
 // apply is the session's frame loop. Acks carry the record count
@@ -282,7 +250,7 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 	var (
 		scratch        []byte
 		recs           []wal.Record
-		ops            []shard.Op
+		ap             = NewApplier(f.r)
 		enc            wire.Buf
 		sessionApplied uint64
 		sinceAck       int
@@ -294,7 +262,7 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 		if err := wire.WriteFrame(bw, 0, wire.FrameAck, enc.B); err != nil {
 			return err
 		}
-		nc.SetWriteDeadline(time.Now().Add(30 * time.Second))
+		nc.SetWriteDeadline(time.Now().Add(IOTimeout))
 		if err := bw.Flush(); err != nil {
 			return err
 		}
@@ -313,7 +281,7 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 				return err
 			}
 			recs = rs
-			if err := f.applyRecords(recs, &ops); err != nil {
+			if err := ap.Apply(recs); err != nil {
 				return err
 			}
 			if seg != 0 {
@@ -331,7 +299,7 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 			return nil
 		case wire.FrameReset:
 			f.resets.Add(1)
-			return f.wipeShard(sh)
+			return ap.Reset(f.r.ShardSpan(sh))
 		case wire.FrameRoot:
 			if len(payload) != 48 {
 				return fmt.Errorf("repl: malformed root frame")
@@ -380,6 +348,18 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 			return fmt.Errorf("repl: unexpected frame code %d", code)
 		}
 	}
+	// next reads one frame — the caller has made sure it will not block
+	// mid-frame — and handles it.
+	next := func() error {
+		id, code, payload, err := wire.ReadFrame(br, scratch)
+		if err != nil {
+			return err
+		}
+		if cap(payload) > cap(scratch) {
+			scratch = payload[:0]
+		}
+		return handle(id, code, payload)
+	}
 	// drainBuffered processes the complete frames already sitting in
 	// the read buffer. Stopping without this could drop a received
 	// FrameSnapEnd, losing a just-finished bootstrap's position commit
@@ -394,14 +374,7 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 			if flen < 9 || flen > wire.MaxFrame+9 || br.Buffered() < 4+flen {
 				return nil
 			}
-			id, code, payload, err := wire.ReadFrame(br, scratch)
-			if err != nil {
-				return nil
-			}
-			if cap(payload) > cap(scratch) {
-				scratch = payload[:0]
-			}
-			if err := handle(id, code, payload); err != nil {
+			if err := next(); err != nil {
 				return err
 			}
 		}
@@ -434,68 +407,9 @@ func (f *Follower) apply(nc net.Conn, br *bufio.Reader, bw *bufio.Writer) (progr
 			}
 			return progressed, err
 		}
-		nc.SetReadDeadline(time.Now().Add(30 * time.Second))
-		id, code, payload, err := wire.ReadFrame(br, scratch)
-		if err != nil {
+		nc.SetReadDeadline(time.Now().Add(IOTimeout))
+		if err := next(); err != nil {
 			return progressed, err
-		}
-		if cap(payload) > cap(scratch) {
-			scratch = payload[:0]
-		}
-		if err := handle(id, code, payload); err != nil {
-			return progressed, err
-		}
-	}
-}
-
-// applyRecords re-applies one frame's records through the router —
-// puts as upserts, dels as delete-if-present — exactly the WAL replay
-// contract, which is what makes at-least-once delivery safe.
-func (f *Follower) applyRecords(recs []wal.Record, ops *[]shard.Op) error {
-	*ops = (*ops)[:0]
-	for _, r := range recs {
-		switch r.Kind {
-		case wal.KindPut:
-			*ops = append(*ops, shard.Op{Kind: shard.OpUpsert, Key: r.Key, Value: r.Value})
-		case wal.KindDel:
-			*ops = append(*ops, shard.Op{Kind: shard.OpDelete, Key: r.Key})
-		}
-	}
-	for i, res := range f.r.ApplyBatch(*ops) {
-		if res.Err != nil && !((*ops)[i].Kind == shard.OpDelete && errors.Is(res.Err, base.ErrNotFound)) {
-			return fmt.Errorf("repl: apply record: %w", res.Err)
-		}
-	}
-	return nil
-}
-
-// wipeShard deletes every pair in shard sh's span ahead of a snapshot
-// bootstrap. Deletes route through ApplyBatch so a durable follower
-// logs them — its own recovery must not resurrect wiped pairs.
-func (f *Follower) wipeShard(sh int) error {
-	lo, hi := f.r.ShardSpan(sh)
-	keys := make([]base.Key, 0, 2048)
-	ops := make([]shard.Op, 0, 2048)
-	for {
-		keys = keys[:0]
-		err := f.r.Range(lo, hi, func(k base.Key, _ base.Value) bool {
-			keys = append(keys, k)
-			return len(keys) < 2048
-		})
-		if err != nil {
-			return err
-		}
-		if len(keys) == 0 {
-			return nil
-		}
-		ops = ops[:0]
-		for _, k := range keys {
-			ops = append(ops, shard.Op{Kind: shard.OpDelete, Key: k})
-		}
-		for _, res := range f.r.ApplyBatch(ops) {
-			if res.Err != nil && !errors.Is(res.Err, base.ErrNotFound) {
-				return fmt.Errorf("repl: wipe shard %d: %w", sh, res.Err)
-			}
 		}
 	}
 }

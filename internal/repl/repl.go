@@ -15,17 +15,26 @@
 // structure's invariants plus idempotent re-application, not mutual
 // exclusion) carried over the network.
 //
-// Primary side (Feed, one per follower connection): a wal.TailReader
-// per shard reads committed records straight from the segment files —
-// concurrently with the committer, trusting only CRC-valid prefixes —
-// and ships them as FrameRecords. When a follower's position predates
-// the oldest surviving segment (a fresh follower, or one that slept
-// through a checkpoint's truncation), the feed bootstraps the shard:
-// FrameReset, a fuzzy state snapshot via Engine.StreamState (rotate,
-// scan concurrent with writers), FrameSnapEnd carrying the resume
-// segment. Backpressure is ack-based: the feed pauses once the
-// shipped-minus-acked record window fills, so a slow follower bounds
-// the primary's buffering, never its write path.
+// State transfer (transfer.go) is that argument written once, as the
+// "fuzzy snapshot + WAL-tail chase" primitive that follower feeds here
+// and live migrations in internal/cluster both call. A Source reads a
+// shard's committed records straight from the segment files through a
+// wal.TailReader — concurrently with the committer, trusting only
+// CRC-valid prefixes — and ships them as FrameRecords; for a receiver
+// whose position the log no longer covers (a fresh one, or one that
+// slept through a checkpoint's truncation) it bootstraps first:
+// FrameReset, the fuzzy snapshot of Engine.StreamState, FrameSnapEnd
+// carrying the resume segment. A receiver that applies, in order,
+// everything shipped after a Bootstrap holds exactly the sender's state
+// as of the last drained record: the snapshot captures every record
+// below the resume segment and the tail carries the rest. A Session
+// carries the frames under ack-window backpressure — a slow receiver
+// bounds the sender's buffering, never its write path — and an Applier
+// lands them in a router. Retry policy is NOT part of it: a checkpoint
+// that outruns the tail surfaces as wal.ErrTruncated and the caller
+// decides whether and when to Bootstrap again. A Feed (one per follower
+// connection) multiplexes one Source per shard round-robin onto one
+// Session and re-bootstraps a truncated shard on its next round.
 //
 // Replica side (Follower): dials the primary, handshakes OpFollow with
 // its durable per-shard positions, applies streamed records through
@@ -39,6 +48,7 @@
 package repl
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"blinktree/internal/base"
@@ -61,12 +71,10 @@ func (p Position) fresh() bool { return p.Seg == 0 }
 // bytes per record a full frame stays ~9 KiB, far under wire.MaxFrame.
 const maxFrameRecords = 512
 
-// AppendRecords encodes a FrameRecords payload: the resume position
+// appendRecords encodes a FrameRecords payload: the resume position
 // after the batch, then the records. Snapshot bootstrap frames pass
 // seg 0 so the follower applies without advancing its position.
-// Exported because migration streams (internal/cluster) ship records
-// in the same shape.
-func AppendRecords(b *wire.Buf, seg uint64, endOff int64, recs []wal.Record) {
+func appendRecords(b *wire.Buf, seg uint64, endOff int64, recs []wal.Record) {
 	b.Reset()
 	b.U64(seg)
 	b.U64(uint64(endOff))
@@ -79,6 +87,7 @@ func AppendRecords(b *wire.Buf, seg uint64, endOff int64, recs []wal.Record) {
 }
 
 // DecodeRecords parses a FrameRecords payload into recs (reused).
+// Exported for the migration target (internal/cluster).
 func DecodeRecords(payload []byte, recs []wal.Record) (seg uint64, endOff int64, _ []wal.Record, err error) {
 	d := wire.Dec{B: payload}
 	seg = d.U64()
@@ -104,33 +113,32 @@ func DecodeRecords(payload []byte, recs []wal.Record) (seg uint64, endOff int64,
 	return seg, endOff, recs, nil
 }
 
-// appendAck encodes a FrameAck payload.
-func appendAck(b *wire.Buf, pos []Position, applied uint64) {
+// appendPositions encodes shards u32 | shards × (seg u64 | off u64), the
+// shape OpFollow and FrameAck share.
+func appendPositions(b *wire.Buf, pos []Position) {
 	b.Reset()
 	b.U32(uint32(len(pos)))
 	for _, p := range pos {
 		b.U64(p.Seg)
 		b.U64(uint64(p.Off))
 	}
+}
+
+// appendAck encodes a FrameAck payload.
+func appendAck(b *wire.Buf, pos []Position, applied uint64) {
+	appendPositions(b, pos)
 	b.U64(applied)
 }
 
-// decodeAck parses a FrameAck payload; shards is the expected count.
-func decodeAck(payload []byte, shards int) (pos []Position, applied uint64, err error) {
+// ackApplied validates a FrameAck payload against the expected shard
+// count and returns its applied count — all the feed reads from an ack
+// (the positions in it are the follower's own durable record).
+func ackApplied(payload []byte, shards int) (uint64, error) {
 	d := wire.Dec{B: payload}
-	n := int(d.U32())
-	if d.Err != nil || n != shards {
-		return nil, 0, fmt.Errorf("repl: ack for %d shards, want %d", n, shards)
+	if n := int(d.U32()); d.Err != nil || n != shards || len(payload) != 4+16*n+8 {
+		return 0, fmt.Errorf("repl: malformed ack frame (for %d shards, want %d)", n, shards)
 	}
-	pos = make([]Position, n)
-	for i := range pos {
-		pos[i] = Position{Seg: d.U64(), Off: int64(d.U64())}
-	}
-	applied = d.U64()
-	if !d.Done() {
-		return nil, 0, fmt.Errorf("repl: malformed ack frame")
-	}
-	return pos, applied, nil
+	return binary.LittleEndian.Uint64(payload[len(payload)-8:]), nil
 }
 
 // DecodeFollowRequest parses an OpFollow payload into per-shard
@@ -152,11 +160,4 @@ func DecodeFollowRequest(payload []byte, shards int) ([]Position, error) {
 }
 
 // AppendFollowRequest encodes an OpFollow payload.
-func AppendFollowRequest(b *wire.Buf, pos []Position) {
-	b.Reset()
-	b.U32(uint32(len(pos)))
-	for _, p := range pos {
-		b.U64(p.Seg)
-		b.U64(uint64(p.Off))
-	}
-}
+func AppendFollowRequest(b *wire.Buf, pos []Position) { appendPositions(b, pos) }

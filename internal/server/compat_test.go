@@ -11,89 +11,37 @@ import (
 	"blinktree/internal/wire"
 )
 
-// TestHelloBackwardCompat pins the negotiation rule that lets an old
-// client keep working against a new server: the server answers a hello
-// with min(client version, its own), and a connection negotiated down
-// to v1 serves the whole v1 op surface unchanged. Version 2 added only
-// cluster vocabulary, so this is the compatibility contract the bump
-// rides on.
-func TestHelloBackwardCompat(t *testing.T) {
+// TestHelloOneVersion pins the hello contract: the server answers the
+// one version this build speaks, and drops — without an answer — a
+// connection that opens with the wrong magic or any other version,
+// older or newer.
+func TestHelloOneVersion(t *testing.T) {
 	s, _, _ := start(t, 2, Config{}, shard.Options{})
 
-	dial := func() (net.Conn, *bufio.Reader) {
+	dial := func(magic [4]byte, v uint16) *bufio.Reader {
 		t.Helper()
 		nc, err := net.DialTimeout("tcp", s.Addr().String(), 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { nc.Close() })
-		return nc, bufio.NewReader(nc)
-	}
-
-	// An old client advertises v1; the server must answer exactly v1,
-	// not its own newer version.
-	nc, br := dial()
-	if err := wire.WriteHelloVersion(nc, 1); err != nil {
-		t.Fatal(err)
-	}
-	v, err := wire.ReadHello(br)
-	if err != nil {
-		t.Fatalf("server rejected a v1 hello: %v", err)
-	}
-	if v != 1 {
-		t.Fatalf("server answered version %d to a v1 client, want 1", v)
-	}
-
-	// The negotiated-down connection serves v1 ops: insert then search.
-	var buf wire.Buf
-	roundTrip := func(id uint64, op uint8, payload []byte) (uint8, []byte) {
-		t.Helper()
-		if err := wire.WriteFrame(nc, id, op, payload); err != nil {
+		hello := binary.LittleEndian.AppendUint16(magic[:], v)
+		if _, err := nc.Write(append(hello, 0, 0)); err != nil {
 			t.Fatal(err)
 		}
-		gotID, status, resp, err := wire.ReadFrame(br, nil)
-		if err != nil {
-			t.Fatal(err)
+		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return bufio.NewReader(nc)
+	}
+
+	if err := wire.ReadHello(dial(wire.Magic, wire.Version)); err != nil {
+		t.Fatalf("current hello refused: %v", err)
+	}
+	for _, v := range []uint16{wire.Version - 1, wire.Version + 1} {
+		if _, err := dial(wire.Magic, v).ReadByte(); err == nil {
+			t.Fatalf("server answered a v%d hello; want the connection dropped", v)
 		}
-		if gotID != id {
-			t.Fatalf("response id %d, want %d", gotID, id)
-		}
-		return status, resp
 	}
-
-	buf.U64(99)
-	buf.U64(7)
-	if status, _ := roundTrip(1, wire.OpInsert, buf.B); status != wire.StatusOK {
-		t.Fatalf("v1 insert: status %d", status)
-	}
-	buf.Reset()
-	buf.U64(99)
-	status, resp := roundTrip(2, wire.OpSearch, buf.B)
-	if status != wire.StatusOK {
-		t.Fatalf("v1 search: status %d", status)
-	}
-	if got := binary.LittleEndian.Uint64(resp); got != 7 {
-		t.Fatalf("v1 search = %d, want 7", got)
-	}
-
-	// A current client negotiates the full version.
-	nc2, br2 := dial()
-	if err := wire.WriteHello(nc2); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := wire.ReadHello(br2); err != nil || v != wire.Version {
-		t.Fatalf("current hello answered (%d, %v), want (%d, nil)", v, err, wire.Version)
-	}
-
-	// A hello from the future is refused outright — the server cannot
-	// promise to speak a version it does not know; the connection is
-	// dropped without an answer.
-	nc3, br3 := dial()
-	if err := wire.WriteHelloVersion(nc3, wire.Version+1); err != nil {
-		t.Fatal(err)
-	}
-	nc3.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := br3.ReadByte(); err == nil {
-		t.Fatalf("server answered a v%d hello; want the connection dropped", wire.Version+1)
+	if _, err := dial([4]byte{'H', 'T', 'T', 'P'}, wire.Version).ReadByte(); err == nil {
+		t.Fatal("server answered a bad-magic hello; want the connection dropped")
 	}
 }

@@ -265,21 +265,17 @@ func (s *Server) handleConn(nc net.Conn) {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	fw := wire.NewFrameWriter(nc)
 
-	// Hello exchange: validate the client before serving anything,
-	// answering with the version we will speak — min(client, ours) —
-	// so an old client works against a new server.
+	// Hello exchange: validate the client before serving anything.
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	clientV, err := wire.ReadHello(br)
-	if err != nil {
+	if err := wire.ReadHello(br); err != nil {
 		s.Metrics.Errors.Inc()
 		return
 	}
-	negotiated := min(clientV, wire.Version)
-	if err := wire.WriteHelloVersion(nc, negotiated); err != nil {
+	if err := wire.WriteHello(nc); err != nil {
 		return
 	}
 
-	c := &connState{s: s, nc: nc, br: br, fw: fw, ingestShard: -1, version: negotiated}
+	c := &connState{s: s, nc: nc, br: br, fw: fw, ingestShard: -1}
 	for {
 		c.reqs, c.ops, c.opRq = c.reqs[:0], c.ops[:0], c.opRq[:0]
 		gerr := s.gather(c)
@@ -313,8 +309,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			// above): the connection now belongs to the replication
 			// feed until the follower disconnects or the server drains.
 			err := repl.ServeFeed(nc, br, bufio.NewWriterSize(nc, 64<<10), s.r,
-				c.followPos, repl.FeedConfig{Window: s.cfg.FollowWindow, Logf: s.cfg.Logf,
-					Version: c.version, RootEvery: s.cfg.RootEvery},
+				c.followPos, repl.FeedConfig{Window: s.cfg.FollowWindow, Logf: s.cfg.Logf, RootEvery: s.cfg.RootEvery},
 				s.stopCh, &s.feeds)
 			if err != nil && !isCleanClose(err) {
 				s.cfg.Logf("follower %s: %v", nc.RemoteAddr(), err)
@@ -368,7 +363,6 @@ type connState struct {
 	nc      net.Conn
 	br      *bufio.Reader
 	fw      *wire.FrameWriter // response accumulator, one write per poll
-	version uint16            // negotiated protocol version for this connection
 	reqs    []request
 	ops     []shard.Op         // batchable slots of the current poll
 	opRq    []int              // ops[j] answers reqs[opRq[j]]
@@ -938,12 +932,8 @@ func (s *Server) serveMigrate(c *connState, rq *request) {
 	}
 }
 
-// serveRoot answers the server's current engine state root (v3).
+// serveRoot answers the server's current engine state root.
 func (s *Server) serveRoot(c *connState, rq *request) {
-	if c.version < 3 {
-		s.badRequest(c, rq.id, "root requires protocol v3")
-		return
-	}
 	if !s.r.Verified() {
 		s.badRequest(c, rq.id, "server is not verified (start with -verified)")
 		return
@@ -956,12 +946,8 @@ func (s *Server) serveRoot(c *connState, rq *request) {
 	s.writeFrame(c, rq.id, wire.StatusOK, root[:])
 }
 
-// serveProve answers an inclusion/exclusion proof for one key (v3).
+// serveProve answers an inclusion/exclusion proof for one key.
 func (s *Server) serveProve(c *connState, rq *request, d *wire.Dec) {
-	if c.version < 3 {
-		s.badRequest(c, rq.id, "prove requires protocol v3")
-		return
-	}
 	if !s.r.Verified() {
 		s.badRequest(c, rq.id, "server is not verified (start with -verified)")
 		return

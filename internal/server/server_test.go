@@ -236,7 +236,7 @@ func TestPollMixesBatchAndPointOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	if _, err := wire.ReadHello(br); err != nil {
+	if err := wire.ReadHello(br); err != nil {
 		t.Fatal(err)
 	}
 
@@ -389,7 +389,7 @@ func TestMalformedFramesGetBadRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(nc)
-	if _, err := wire.ReadHello(br); err != nil {
+	if err := wire.ReadHello(br); err != nil {
 		t.Fatal(err)
 	}
 	// Search with a truncated payload, then an unknown op: both must be

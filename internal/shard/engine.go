@@ -421,23 +421,42 @@ func (e *Engine) applyRecord(r wal.Record) error {
 	}
 }
 
-// Checkpoint writes the engine's current state as a durable snapshot
-// and truncates the log to the suffix the snapshot does not cover. It
-// runs concurrently with readers AND writers: the log first rotates to
-// a fresh segment, so every operation whose record landed in an older
-// segment was fully applied before the state scan began and is
-// captured by it, while operations racing the scan land in the kept
-// suffix and replay idempotently on top. No-op on a volatile engine.
+// scanLocked is the one fuzzy state scan every state transfer builds
+// on — checkpoints, replication bootstraps and migrations. The caller
+// holds ckptMu. It rotates the log to a fresh segment, streams the
+// current pairs through fn in strictly ascending key order (until fn
+// returns false), and returns the segment id at which the log suffix
+// that completes the scan begins: every operation whose record landed
+// in an older segment was fully applied before the scan began and is
+// captured by it, while operations racing the scan land at or above
+// the returned segment and replay idempotently on top. The scan runs
+// concurrently with readers AND writers.
 //
 // Compression, however, IS quiesced for the duration of the scan
 // (background workers pause; Compact/DrainCompression serialize on
-// the same lock): a merge or redistribution can move a pair leftward
-// across the scan cursor, and a pair the fuzzy snapshot misses that
-// way has no record in the kept log suffix — truncation would destroy
-// the only durable copy of an acknowledged write. Searches, inserts,
-// deletes and conditional writes never move pairs left, so they stay
-// unblocked; deletions keep enqueueing underfull nodes for repair
-// after Resume.
+// ckptMu): a merge or redistribution can move a pair leftward across
+// the scan cursor, and a pair the fuzzy snapshot misses that way has
+// no record in the log suffix — truncating or skipping the older
+// segments would destroy the only copy of an acknowledged write.
+// Searches, inserts, deletes and conditional writes never move pairs
+// left, so they stay unblocked; deletions keep enqueueing underfull
+// nodes for repair after Resume.
+func (e *Engine) scanLocked(fn func(base.Key, base.Value) bool) (uint64, error) {
+	seg, err := e.wal.Rotate()
+	if err != nil {
+		return 0, err
+	}
+	if e.comp != nil && e.mode == CompressionBackground {
+		e.comp.Pause()
+		defer e.comp.Resume()
+	}
+	return seg, e.Tree.Range(0, base.Key(^uint64(0)), fn)
+}
+
+// Checkpoint writes the engine's current state as a durable snapshot
+// and truncates the log to the suffix the snapshot does not cover: the
+// scanLocked scan fed into the snapshot codec, then rename and
+// truncate. No-op on a volatile engine.
 //
 // Crash-safety: the snapshot is written to a temp file, fsynced, and
 // renamed into place before anything is deleted; a crash between any
@@ -448,17 +467,10 @@ func (e *Engine) Checkpoint() error {
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	seg, err := e.wal.Rotate()
-	if err != nil {
-		return err
-	}
 	tmp := filepath.Join(e.dir, "checkpoint.tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
-	}
-	if e.comp != nil && e.mode == CompressionBackground {
-		e.comp.Pause()
 	}
 	// A verified engine hashes the pairs exactly as they stream into the
 	// snapshot; the resulting root describes this checkpoint's bytes and
@@ -467,17 +479,16 @@ func (e *Engine) Checkpoint() error {
 	if e.verifyNB != 0 {
 		sh = verify.NewStreamHasher(e.verifyNB)
 	}
-	err = snap.Write(f, e.Tree.Len(), func(fn func(base.Key, base.Value) bool) error {
-		return e.Tree.Range(0, base.Key(^uint64(0)), func(k base.Key, v base.Value) bool {
+	var seg uint64
+	err = snap.Write(f, e.Tree.Len(), func(fn func(base.Key, base.Value) bool) (err error) {
+		seg, err = e.scanLocked(func(k base.Key, v base.Value) bool {
 			if sh != nil {
 				sh.Add(uint64(k), uint64(v))
 			}
 			return fn(k, v)
 		})
+		return err
 	})
-	if e.comp != nil && e.mode == CompressionBackground {
-		e.comp.Resume()
-	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -526,38 +537,23 @@ func (e *Engine) WAL() *wal.Log { return e.wal }
 // WALDir returns the engine's durability directory ("" when volatile).
 func (e *Engine) WALDir() string { return e.dir }
 
-// StreamState is the replication bootstrap's counterpart of
-// Checkpoint: it rotates the log to a fresh segment, streams a fuzzy
-// snapshot of the current pairs through send, and returns the segment
-// id at which log streaming must resume. The same argument that makes
-// checkpoints crash-safe makes the result prefix-consistent: every
-// operation whose record landed below the returned segment was fully
-// applied before the scan began and is captured by it, while
-// operations racing the scan land at or above it and re-apply
-// idempotently on top. Serializes with Checkpoint and pauses
-// background compression for the scan, for the same leftward-movement
-// reason documented there.
+// StreamState is the scanLocked scan for a caller that ships the state
+// elsewhere instead of checkpointing it (repl.Source): it streams the
+// fuzzy snapshot through send, stopping at send's first error, and
+// returns the segment id at which log streaming must resume. It
+// serializes with Checkpoint, so a send that blocks stalls checkpoints
+// too.
 func (e *Engine) StreamState(send func(base.Key, base.Value) error) (uint64, error) {
 	if e.wal == nil {
 		return 0, fmt.Errorf("blinktree: StreamState on a volatile engine")
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
-	seg, err := e.wal.Rotate()
-	if err != nil {
-		return 0, err
-	}
-	if e.comp != nil && e.mode == CompressionBackground {
-		e.comp.Pause()
-	}
 	var serr error
-	err = e.Tree.Range(0, base.Key(^uint64(0)), func(k base.Key, v base.Value) bool {
+	seg, err := e.scanLocked(func(k base.Key, v base.Value) bool {
 		serr = send(k, v)
 		return serr == nil
 	})
-	if e.comp != nil && e.mode == CompressionBackground {
-		e.comp.Resume()
-	}
 	if err == nil {
 		err = serr
 	}

@@ -35,6 +35,9 @@ type TailReader struct {
 	off int64
 	f   *os.File
 	buf []byte
+	// sealed records that the current segment's successor has been seen:
+	// the segment is complete, and an empty read of it is final.
+	sealed bool
 }
 
 // NewTailReader positions a reader at (seg, off) in dir. The position
@@ -63,11 +66,30 @@ func (t *TailReader) Close() {
 // position's segment was deleted by a checkpoint and the caller must
 // re-bootstrap from a snapshot.
 func (t *TailReader) Next(max int, recs []Record) ([]Record, error) {
+	return t.NextUntil(max, 0, 0, recs)
+}
+
+// NextUntil is Next with a byte-exact stop: when stopSeg is non-zero
+// the read never advances past (stopSeg, stopOff), however many
+// rotations lie between it and the current position. This is how a
+// caller lands a stream on a position it learned elsewhere (a sealed
+// state root's) instead of overshooting it mid-batch.
+func (t *TailReader) NextUntil(max int, stopSeg uint64, stopOff int64, recs []Record) ([]Record, error) {
 	for len(recs) < max {
+		want := max - len(recs)
+		if stopSeg != 0 && t.seg >= stopSeg {
+			if t.seg > stopSeg || t.off+recLen > stopOff {
+				return recs, nil // no whole record left before the stop
+			}
+			want = min(want, int((stopOff-t.off)/recLen))
+		}
 		if err := t.open(); err != nil {
 			return recs, err
 		}
-		n, err := t.readRecords(max-len(recs), &recs)
+		if t.f == nil {
+			return recs, nil // segment still being created: no data yet
+		}
+		n, err := t.readRecords(want, &recs)
 		if err != nil {
 			return recs, err
 		}
@@ -77,10 +99,26 @@ func (t *TailReader) Next(max int, recs []Record) ([]Record, error) {
 		// Caught up within this segment. If its successor exists the
 		// committer has rotated away and this segment is complete.
 		if _, err := os.Stat(segPath(t.dir, t.seg+1)); err != nil {
-			return recs, nil // still the live segment: genuinely caught up
+			// No successor: normally this is the live segment and the
+			// reader is genuinely caught up. But the open descriptor
+			// outlives the file — if checkpoints removed this segment AND
+			// its successor while it was being read, the records after it
+			// are gone, and "caught up" would silently drop them.
+			if _, err := os.Stat(segPath(t.dir, t.seg)); os.IsNotExist(err) {
+				return recs, ErrTruncated
+			}
+			return recs, nil
+		}
+		if !t.sealed {
+			// The empty read above may predate the rotation: records
+			// committed between the two would be skipped by rolling now.
+			// With the successor in place the segment can no longer
+			// grow, so one more read settles it.
+			t.sealed = true
+			continue
 		}
 		t.Close()
-		t.seg, t.off = t.seg+1, segHeaderLen
+		t.seg, t.off, t.sealed = t.seg+1, segHeaderLen, false
 	}
 	return recs, nil
 }

@@ -130,4 +130,73 @@ func TestTailReaderTruncated(t *testing.T) {
 	if _, err := tr.Next(16, nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("tail of removed segment: %v, want ErrTruncated", err)
 	}
+
+	// The same through an open descriptor: a reader already inside a
+	// segment keeps reading it after removal. One checkpoint is harmless
+	// (the successor exists, the reader rolls forward); a second one that
+	// also removes the successor must surface, not read as "caught up".
+	held := NewTailReader(dir, seg, SegmentHeaderLen)
+	defer held.Close()
+	if err := l.Append(Record{Kind: KindPut, Key: 2, Value: 2}).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if recs := tailCollect(t, held); len(recs) != 1 {
+		t.Fatalf("read %d records from the live segment, want 1", len(recs))
+	}
+	for i := 0; i < 2; i++ {
+		if err := l.Append(Record{Kind: KindPut, Key: 3, Value: base.Value(i)}).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		next, err := l.Rotate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.RemoveBelow(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := held.Next(16, nil)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("reader holding a twice-truncated segment: (%v, %v), want ErrTruncated", recs, err)
+	}
+}
+
+// TestTailReaderNextUntil: a stop position is honoured to the byte,
+// across a rotation, and lifting it resumes exactly there.
+func TestTailReaderNextUntil(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{NoSync: true}, 0, func(Record) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	put := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := l.Append(Record{Kind: KindPut, Key: base.Key(i), Value: 1}).Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(0, 10)
+	seg, err := l.Rotate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(10, 30)
+	stopOff := int64(SegmentHeaderLen + 7*RecordLen)
+	tr := NewTailReader(dir, seg-1, SegmentHeaderLen)
+	defer tr.Close()
+	recs, err := tr.NextUntil(64, seg, stopOff, nil)
+	if err != nil || len(recs) != 17 {
+		t.Fatalf("read (%d records, %v) up to the stop, want 17", len(recs), err)
+	}
+	if gs, go_ := tr.Pos(); gs != seg || go_ != stopOff {
+		t.Fatalf("stopped at (%d, %d), want (%d, %d)", gs, go_, seg, stopOff)
+	}
+	if recs, err = tr.NextUntil(64, seg, stopOff, nil); err != nil || len(recs) != 0 {
+		t.Fatalf("read past the stop: (%d records, %v)", len(recs), err)
+	}
+	if recs, err = tr.Next(64, nil); err != nil || len(recs) != 13 || recs[0].Key != 17 {
+		t.Fatalf("resume after the stop: (%d records, %v), want 13 starting at key 17", len(recs), err)
+	}
 }

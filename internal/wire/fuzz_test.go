@@ -55,7 +55,7 @@ func FuzzDecode(f *testing.F) {
 	b.U64(0)
 	f.Add(frame(6, OpFollow, b.B))
 	f.Add(frame(7, FrameAck, []byte{1, 0, 0, 0}))
-	// v3 integrity vocabulary: root fetch, proof fetch, and the
+	// Integrity vocabulary: root fetch, proof fetch, and the
 	// replication root announcement (seg u64 | off u64 | root [32]).
 	f.Add(frame(12, OpRoot, nil))
 	f.Add(frame(12, OpRoot, make([]byte, 32)))
@@ -88,11 +88,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(frame(11, OpInsert, make([]byte, 16))[:17])
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add(binary.LittleEndian.AppendUint32(nil, MaxFrame+100))
-	// Hellos: valid, bad magic, bad version.
-	hello := []byte{'B', 'L', 'N', 'K', 1, 0, 0, 0}
-	f.Add(hello)
-	f.Add([]byte{'H', 'T', 'T', 'P', 1, 0, 0, 0})
-	f.Add([]byte{'B', 'L', 'N', 'K', 99, 0, 0, 0})
+	// Hellos: valid, bad magic, and the versions either side of the one
+	// this build speaks.
+	f.Add([]byte{'B', 'L', 'N', 'K', byte(Version), 0, 0, 0})
+	f.Add([]byte{'H', 'T', 'T', 'P', byte(Version), 0, 0, 0})
+	f.Add([]byte{'B', 'L', 'N', 'K', byte(Version - 1), 0, 0, 0})
+	f.Add([]byte{'B', 'L', 'N', 'K', byte(Version + 1), 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -133,11 +134,11 @@ func FuzzDecode(f *testing.F) {
 			p.Root()
 		}
 		// The hello validator must reject or accept without panicking,
-		// and only ever accept the exact magic plus a version this
-		// build speaks ([MinVersion, Version] — the negotiation range).
-		if v, err := ReadHello(bytes.NewReader(data)); err == nil {
-			if !bytes.Equal(data[:4], Magic[:]) || v < MinVersion || v > Version {
-				t.Fatalf("ReadHello accepted %x as version %d", data[:8], v)
+		// and only ever accept the exact magic plus the one version this
+		// build speaks.
+		if err := ReadHello(bytes.NewReader(data)); err == nil {
+			if !bytes.Equal(data[:4], Magic[:]) || binary.LittleEndian.Uint16(data[4:6]) != Version {
+				t.Fatalf("ReadHello accepted %x", data[:8])
 			}
 		}
 	})

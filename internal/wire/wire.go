@@ -36,20 +36,12 @@ import (
 // Magic opens the hello exchange in both directions.
 var Magic = [4]byte{'B', 'L', 'N', 'K'}
 
-// Version is the newest protocol version this build speaks and
-// MinVersion the oldest it still accepts. Versioning rule: adding ops
-// or status codes is backward compatible (old clients never send the
-// new op), changing a payload shape requires a version bump. A server
-// answers the client's hello with the version it will speak —
-// min(client, server) — so an old client keeps working against a new
-// server; version 2 added the cluster vocabulary (OpMigrate,
-// OpClusterMap, StatusWrongShard) and version 3 the integrity
-// vocabulary (OpRoot, OpProve, FrameRoot), each without changing any
-// earlier payload.
-const (
-	Version    uint16 = 3
-	MinVersion uint16 = 1
-)
+// Version is the one protocol version this build speaks; a peer
+// advertising any other is refused at the hello. Adding ops or status
+// codes keeps the version (a peer never sends an op it does not know);
+// changing a payload shape bumps it, on both sides at once — clients
+// and servers ship from this one module.
+const Version uint16 = 3
 
 // helloLen is the byte length of a hello in either direction.
 const helloLen = 8
@@ -116,8 +108,8 @@ const (
 	// is already u8 — 1 means the target already owns the range (a
 	// prior handoff completed) and no stream follows; 0 means the
 	// connection leaves request/response mode and becomes a migration
-	// stream of FrameReset/FrameRecords/FrameHandoff frames (source →
-	// target) and FrameMigAck frames (target → source). Requires a
+	// stream of FrameReset/FrameRecords/FrameSnapEnd/FrameHandoff frames
+	// (source → target) and FrameMigAck frames (target → source). Requires a
 	// cluster-enabled durable server; see docs/protocol.md.
 	OpMigrate uint8 = 16
 	// OpClusterMap: "" → an encoded ClusterMap (the server's current
@@ -125,12 +117,12 @@ const (
 	// non-cluster server answers StatusBadRequest.
 	OpClusterMap uint8 = 17
 	// OpRoot: "" → root [32]. The server's current state root under the
-	// integrity layer's hash tree (v3). Concurrent with writers the
+	// integrity layer's hash tree. Concurrent with writers the
 	// root is fuzzy-but-recent; quiesced it is the exact deterministic
 	// hash of the full content. StatusBadRequest on an unverified
 	// server.
 	OpRoot uint8 = 18
-	// OpProve: key u64 → an encoded inclusion/exclusion proof (v3; see
+	// OpProve: key u64 → an encoded inclusion/exclusion proof (see
 	// verify.EncodeProof and docs/protocol.md §Proof encoding). The
 	// proof pins the key's presence or absence, and its value when
 	// present, to a state root the client checks against one it
@@ -138,10 +130,14 @@ const (
 	OpProve uint8 = 19
 )
 
-// Replication stream frame codes. After an OpFollow handshake the
-// op/status byte carries these instead; the frame id carries the shard
-// index (0 for FrameAck). They live above the status range so a
-// follower can never confuse a stream frame with a late response.
+// State-transfer stream frame codes. After an OpFollow or OpMigrate
+// ingest handshake the op/status byte carries these instead; the frame
+// id carries the shard index (0 for the ack frames). Both streams carry
+// the same sender→receiver sequence — Reset, Records, SnapEnd, then
+// positioned Records — described below in the follower's terms; a
+// migration target applies it the same way and keeps no position. They
+// live above the status range so a receiver can never confuse a stream
+// frame with a late response.
 const (
 	// FrameRecords (primary→follower): seg u64 | endOff u64 |
 	// count u32 | count × (kind u8 | key u64 | value u64). The shard's
@@ -165,7 +161,7 @@ const (
 	// itself as the range's owner at the given map version, starts
 	// serving the range, and answers with a final FrameMigAck.
 	FrameHandoff uint8 = 203
-	// FrameRoot (primary→follower, v3 streams only): seg u64 | off u64 |
+	// FrameRoot (primary→follower): seg u64 | off u64 |
 	// root [32]. The primary's sealed per-shard state root at an exact
 	// WAL position: every record at or below (seg, off) is reflected in
 	// root and every record above it is not. A follower that reaches
@@ -339,37 +335,27 @@ func StatusError(code uint8, msg string) error {
 
 // WriteHello writes the 8-byte hello advertising Version.
 func WriteHello(w io.Writer) error {
-	return WriteHelloVersion(w, Version)
-}
-
-// WriteHelloVersion writes the 8-byte hello advertising an explicit
-// version — the server's negotiated answer to a client hello.
-func WriteHelloVersion(w io.Writer, v uint16) error {
 	var b [helloLen]byte
 	copy(b[:4], Magic[:])
-	binary.LittleEndian.PutUint16(b[4:6], v)
+	binary.LittleEndian.PutUint16(b[4:6], Version)
 	_, err := w.Write(b[:])
 	return err
 }
 
-// ReadHello reads and validates the peer's hello, returning its
-// version. Any version in [MinVersion, Version] is accepted — a server
-// answers with min(peer, Version), the version it will speak, so an
-// old client works against a new server. ErrBadMagic and ErrVersion
-// are the two rejections.
-func ReadHello(r io.Reader) (uint16, error) {
+// ReadHello reads and validates the peer's hello. ErrBadMagic and
+// ErrVersion — any version other than Version — are the two rejections.
+func ReadHello(r io.Reader) error {
 	var b [helloLen]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+		return err
 	}
 	if [4]byte(b[:4]) != Magic {
-		return 0, ErrBadMagic
+		return ErrBadMagic
 	}
-	v := binary.LittleEndian.Uint16(b[4:6])
-	if v < MinVersion || v > Version {
-		return 0, fmt.Errorf("%w: peer speaks %d, this build speaks %d–%d", ErrVersion, v, MinVersion, Version)
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
+		return fmt.Errorf("%w: peer speaks %d, this build speaks %d", ErrVersion, v, Version)
 	}
-	return v, nil
+	return nil
 }
 
 // WriteFrame writes one frame — request or response, the shape is the

@@ -16,26 +16,25 @@ func TestHelloRoundTrip(t *testing.T) {
 	if err := WriteHello(&b); err != nil {
 		t.Fatal(err)
 	}
-	v, err := ReadHello(&b)
-	if err != nil {
+	if err := ReadHello(&b); err != nil {
 		t.Fatal(err)
-	}
-	if v != Version {
-		t.Fatalf("version = %d, want %d", v, Version)
 	}
 }
 
 func TestHelloRejections(t *testing.T) {
-	if _, err := ReadHello(bytes.NewReader([]byte("HTTP/1.1"))); !errors.Is(err, ErrBadMagic) {
+	if err := ReadHello(bytes.NewReader([]byte("HTTP/1.1"))); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("bad magic: got %v", err)
 	}
 	bad := make([]byte, 8)
 	copy(bad, Magic[:])
-	binary.LittleEndian.PutUint16(bad[4:6], Version+7)
-	if _, err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("bad version: got %v", err)
+	// One version exactly: older is refused like newer.
+	for _, v := range []uint16{0, Version - 1, Version + 1, Version + 7} {
+		binary.LittleEndian.PutUint16(bad[4:6], v)
+		if err := ReadHello(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
-	if _, err := ReadHello(bytes.NewReader(bad[:3])); err == nil {
+	if err := ReadHello(bytes.NewReader(bad[:3])); err == nil {
 		t.Fatal("short hello: want error")
 	}
 }
