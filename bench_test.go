@@ -913,3 +913,28 @@ func BenchmarkCoarseFloor(b *testing.B) {
 	}
 	benchMix(b, tr, 1<<17, workload.Balanced)
 }
+
+// BenchmarkMemBalanced is blinkbench's mem-balanced cell as a go test
+// benchmark, the shape scripts/profile.sh profiles: the public facade
+// with default Options (k = 16, background compression), the 1M even
+// keys of [0, 2M) bulk-loaded at fill 0.7, then 50 % Search / 25 %
+// Insert / 25 % Delete uniform over [0, 2M), so the size stays put.
+func BenchmarkMemBalanced(b *testing.B) {
+	const keys = 1_000_000
+	t, err := Open(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer t.Close()
+	var next uint64
+	if err := t.BulkLoad(func() (Key, Value, bool) {
+		if next >= keys {
+			return 0, 0, false
+		}
+		next++
+		return Key(2 * (next - 1)), Value(next), true
+	}, 0.7); err != nil {
+		b.Fatal(err)
+	}
+	benchMix(b, t, 2*keys, workload.Balanced)
+}

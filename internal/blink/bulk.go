@@ -74,7 +74,7 @@ func (t *Tree) BulkLoad(pairs func() (base.Key, base.Value, bool), fill float64)
 	}); err != nil {
 		return err
 	}
-	t.length.Add(int64(count))
+	t.stats.ops[0].length.Add(int64(count))
 	// Retire the placeholder root left over from New.
 	if oldRoot != base.NilPage && oldRoot != level[0] {
 		if t.rec != nil {

@@ -1,6 +1,8 @@
 package blink
 
 import (
+	"sync/atomic"
+
 	"blinktree/internal/base"
 	"blinktree/internal/locks"
 )
@@ -49,6 +51,22 @@ type condResult struct {
 	applied condAction
 }
 
+// pairDelta is the write's effect on the pair count.
+func (r condResult) pairDelta() int64 {
+	switch {
+	case r.applied == condDelete:
+		return -1
+	case r.applied == condPut && !r.existed:
+		return 1
+	}
+	return 0
+}
+
+// The counter a conditional write bumps, on its own stripe.
+func countUpsert(o *opCounters) *atomic.Uint64 { return &o.upserts }
+func countUpdate(o *opCounters) *atomic.Uint64 { return &o.updates }
+func countCAS(o *opCounters) *atomic.Uint64    { return &o.cas }
+
 // condStatus is condStep's verdict.
 type condStatus uint8
 
@@ -61,19 +79,18 @@ const (
 // condWrite is the shared engine: find the leaf, lock it, probe, apply.
 // It mirrors Insert's loop (Fig. 5) at the leaf level and hands any
 // split separator to the same upward propagation Insert uses.
-func (t *Tree) condWrite(k base.Key, probe condProbe) (condResult, error) {
+func (t *Tree) condWrite(k base.Key, count func(*opCounters) *atomic.Uint64, probe condProbe) (condResult, error) {
 	if err := t.checkOpen(); err != nil {
 		return condResult{}, err
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
-
-	sc := getScratch()
+	sc, g := t.begin()
 	sc.h.Init(t.lt)
+	st := t.stats.of(sc)
+	count(st).Add(1)
 	defer func() {
 		sc.h.UnlockAll() // error-path safety; no-op on clean paths
-		t.stats.condFP.Record(&sc.h)
-		putScratch(sc)
+		st.condFP.Record(&sc.h)
+		t.end(sc, g)
 	}()
 
 	cur, _, err := t.descendRetry(k, &sc.stack)
@@ -91,11 +108,15 @@ func (t *Tree) condWrite(k base.Key, probe condProbe) (condResult, error) {
 		if err == nil {
 			switch status {
 			case condDone:
+				if d := r.pairDelta(); d != 0 {
+					st.length.Add(d)
+				}
 				return r, nil
 			case condChase:
 				cur = next
 				continue
 			case condAscend:
+				st.length.Add(1) // the pair is live; only the separator remains
 				res = r
 				cur = next
 			}
@@ -193,7 +214,6 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 			})
 		}
 		h.Unlock(cur)
-		t.length.Add(-1)
 		return condDone, base.NilPage, res, nil
 	}
 
@@ -209,17 +229,11 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 	if n.Pairs() < t.capacity() {
 		err := t.insertIntoSafe(n, pend)
 		h.Unlock(cur)
-		if err == nil {
-			t.length.Add(1)
-		}
 		return condDone, base.NilPage, res, err
 	}
 	if n.Root {
 		err := t.insertIntoUnsafeRoot(n, pend)
 		h.Unlock(cur)
-		if err == nil {
-			t.length.Add(1)
-		}
 		return condDone, base.NilPage, res, err
 	}
 	next, err := t.insertIntoUnsafe(n, pend, stack)
@@ -227,7 +241,6 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 	if err != nil {
 		return condDone, base.NilPage, res, err
 	}
-	t.length.Add(1) // the pair is live; only the separator remains
 	return condAscend, next, res, nil
 }
 
@@ -236,8 +249,7 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 // is atomic and pays a single descent: the present/absent decision is
 // taken under the one held leaf lock.
 func (t *Tree) Upsert(k base.Key, v base.Value) (old base.Value, existed bool, err error) {
-	t.stats.upserts.Add(1)
-	res, err := t.condWrite(k, func(base.Value, bool) condOutcome {
+	res, err := t.condWrite(k, countUpsert, func(base.Value, bool) condOutcome {
 		return condOutcome{action: condPut, value: v}
 	})
 	return res.old, res.existed, err
@@ -246,8 +258,7 @@ func (t *Tree) Upsert(k base.Key, v base.Value) (old base.Value, existed bool, e
 // GetOrInsert returns the value stored under k, inserting v first if k
 // is absent. loaded reports whether the value was already present.
 func (t *Tree) GetOrInsert(k base.Key, v base.Value) (actual base.Value, loaded bool, err error) {
-	t.stats.upserts.Add(1)
-	res, err := t.condWrite(k, func(_ base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, countUpsert, func(_ base.Value, present bool) condOutcome {
 		if present {
 			return condOutcome{}
 		}
@@ -268,9 +279,8 @@ func (t *Tree) GetOrInsert(k base.Key, v base.Value) (actual base.Value, loaded 
 // be re-invoked (with a fresh current value) if a wrong-node restart
 // forces the descent to be redone before the write lands.
 func (t *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
-	t.stats.updates.Add(1)
 	var newV base.Value
-	res, err := t.condWrite(k, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, countUpdate, func(cur base.Value, present bool) condOutcome {
 		if !present {
 			return condOutcome{}
 		}
@@ -291,8 +301,7 @@ func (t *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, e
 // ErrNotFound when k is absent (swapped false, no error, when present
 // with a different value).
 func (t *Tree) CompareAndSwap(k base.Key, old, new base.Value) (swapped bool, err error) {
-	t.stats.cas.Add(1)
-	res, err := t.condWrite(k, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, countCAS, func(cur base.Value, present bool) condOutcome {
 		if !present || cur != old {
 			return condOutcome{}
 		}
@@ -310,8 +319,7 @@ func (t *Tree) CompareAndSwap(k base.Key, old, new base.Value) (swapped bool, er
 // CompareAndDelete removes k only if the stored value equals old. It
 // returns whether the deletion happened; ErrNotFound when k is absent.
 func (t *Tree) CompareAndDelete(k base.Key, old base.Value) (deleted bool, err error) {
-	t.stats.cas.Add(1)
-	res, err := t.condWrite(k, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, countCAS, func(cur base.Value, present bool) condOutcome {
 		if !present || cur != old {
 			return condOutcome{}
 		}

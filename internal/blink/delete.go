@@ -15,16 +15,14 @@ func (t *Tree) Delete(k base.Key) error {
 	if err := t.checkOpen(); err != nil {
 		return err
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
-	t.stats.deletes.Add(1)
-
-	sc := getScratch()
+	sc, g := t.begin()
 	sc.h.Init(t.lt)
+	st := t.stats.of(sc)
+	st.deletes.Add(1)
 	defer func() {
 		sc.h.UnlockAll()
-		t.stats.deleteFP.Record(&sc.h)
-		putScratch(sc)
+		st.deleteFP.Record(&sc.h)
+		t.end(sc, g)
 	}()
 
 	leafID, _, err := t.descendRetry(k, &sc.stack)
@@ -37,7 +35,7 @@ func (t *Tree) Delete(k base.Key) error {
 		done, next, err := t.deleteStep(&sc.h, k, cur, sc.stack)
 		if err == nil {
 			if done {
-				t.length.Add(-1)
+				st.length.Add(-1)
 				return nil
 			}
 			cur = next

@@ -28,16 +28,14 @@ func (t *Tree) Insert(k base.Key, v base.Value) error {
 	if err := t.checkOpen(); err != nil {
 		return err
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
-	t.stats.inserts.Add(1)
-
-	sc := getScratch()
+	sc, g := t.begin()
 	sc.h.Init(t.lt)
+	st := t.stats.of(sc)
+	st.inserts.Add(1)
 	defer func() {
 		sc.h.UnlockAll() // error-path safety; no-op on clean paths
-		t.stats.insertFP.Record(&sc.h)
-		putScratch(sc)
+		st.insertFP.Record(&sc.h)
+		t.end(sc, g)
 	}()
 
 	leafID, _, err := t.descendRetry(k, &sc.stack)
@@ -51,7 +49,7 @@ func (t *Tree) Insert(k base.Key, v base.Value) error {
 		done, next, err := t.insertStep(&sc.h, &pend, cur, &sc.stack)
 		if err == nil {
 			if done {
-				t.length.Add(1)
+				st.length.Add(1)
 				return nil
 			}
 			cur = next

@@ -21,9 +21,9 @@ func (t *Tree) Range(lo, hi base.Key, fn func(base.Key, base.Value) bool) error 
 	if hi < lo {
 		return nil
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
-	t.stats.scans.Add(1)
+	sc, g := t.begin()
+	defer t.end(sc, g)
+	t.stats.of(sc).scans.Add(1)
 
 	// cursor is the smallest key not yet emitted; it makes restarts and
 	// sibling hops idempotent.
@@ -112,8 +112,8 @@ func (t *Tree) Max() (base.Key, base.Value, error) {
 	if err := t.checkOpen(); err != nil {
 		return 0, 0, err
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
+	sc, g := t.begin()
+	defer t.end(sc, g)
 
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		k, v, err := t.maxOnce()

@@ -2,6 +2,7 @@ package blink
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"blinktree/internal/base"
 	"blinktree/internal/locks"
@@ -21,16 +22,28 @@ import (
 // Holder.Init fully resets the holder, and callers truncate the stack
 // before use, so reuse across operations (and goroutines, via the
 // pool) is safe.
+//
+// The pool also gives an operation the nearest thing Go offers to a
+// per-CPU identity: sync.Pool hands a P back the object it last put, so
+// the stripe number a scratch is born with stays with one P most of the
+// time. Operations use it to pick their stripe of the Stats counters.
 type opScratch struct {
-	h     locks.Holder
-	stack []base.PageID
+	h      locks.Holder
+	stack  []base.PageID
+	stripe uint32 // fixed at birth; see Stats.of
 }
 
-var opScratchPool = sync.Pool{
-	New: func() any {
-		return &opScratch{stack: make([]base.PageID, 0, descentStackCap)}
-	},
-}
+var (
+	opScratchPool = sync.Pool{
+		New: func() any {
+			return &opScratch{
+				stack:  make([]base.PageID, 0, descentStackCap),
+				stripe: scratchSeq.Add(1),
+			}
+		},
+	}
+	scratchSeq atomic.Uint32 // numbers the pool's scratches
+)
 
 // getScratch returns a scratch with an empty stack. The Holder is NOT
 // initialized; write paths call sc.h.Init themselves.

@@ -115,12 +115,12 @@ func (t *Tree) Search(k base.Key) (base.Value, error) {
 	if err := t.checkOpen(); err != nil {
 		return 0, err
 	}
-	g, withEpoch := t.enter()
-	defer t.exit(g, withEpoch)
-	t.stats.searches.Add(1)
+	sc, g := t.begin()
+	defer t.end(sc, g)
+	t.stats.of(sc).searches.Add(1)
 
 	for attempt := 0; attempt < maxRestarts; attempt++ {
-		v, err := t.searchOnce(k)
+		v, err := t.searchOnce(k, sc)
 		if err == nil {
 			return v, nil
 		}
@@ -132,12 +132,10 @@ func (t *Tree) Search(k base.Key) (base.Value, error) {
 	return 0, ErrLivelock
 }
 
-func (t *Tree) searchOnce(k base.Key) (base.Value, error) {
-	var sc *opScratch
+func (t *Tree) searchOnce(k base.Key, sc *opScratch) (base.Value, error) {
 	var stackp *[]base.PageID
 	if t.pol == RestartBacktrack {
-		sc = getScratch()
-		defer putScratch(sc)
+		sc.stack = sc.stack[:0]
 		stackp = &sc.stack
 	}
 	id, n, err := t.descend(k, stackp)

@@ -6,9 +6,17 @@ import (
 	"blinktree/internal/locks"
 )
 
-// Stats holds the tree's operation counters. All fields are updated
-// atomically; Snapshot returns a consistent-enough copy for reporting.
-type Stats struct {
+// statStripes is the number of copies of the per-operation counters.
+// An operation records on the stripe its pooled scratch was born with
+// (scratch.go); scratches stay with a P, so a stripe's lines stay in
+// one core's cache instead of travelling to every core that finishes
+// an operation.
+const statStripes = 16
+
+// opCounters is one stripe of what every operation writes: its kind's
+// counter, its lock footprint and its effect on the pair count. The
+// padding keeps two stripes off one cache line.
+type opCounters struct {
 	searches atomic.Uint64
 	inserts  atomic.Uint64
 	deletes  atomic.Uint64
@@ -17,6 +25,23 @@ type Stats struct {
 	upserts atomic.Uint64 // Upsert + GetOrInsert
 	updates atomic.Uint64 // Update
 	cas     atomic.Uint64 // CompareAndSwap + CompareAndDelete attempts
+
+	length atomic.Int64 // pairs added minus pairs removed; state, not reset
+
+	insertFP locks.FootprintStats
+	deleteFP locks.FootprintStats
+	condFP   locks.FootprintStats
+
+	_ [96]byte
+}
+
+// Stats holds the tree's counters: the striped per-operation ones, and
+// single counters for events that a steady workload sees rarely (a
+// split per dozen insertions, a link hop or restart per thousands of
+// operations). All fields are updated atomically; Snapshot returns a
+// consistent-enough copy for reporting.
+type Stats struct {
+	ops [statStripes]opCounters
 
 	splits     atomic.Uint64 // node splits, including root splits
 	rootSplits atomic.Uint64 // new roots created
@@ -28,11 +53,10 @@ type Stats struct {
 	levelWaits  atomic.Uint64 // §3.3 waits for a level to appear
 
 	underfullEvents atomic.Uint64 // underfull hook firings
-
-	insertFP locks.FootprintStats
-	deleteFP locks.FootprintStats
-	condFP   locks.FootprintStats
 }
+
+// of returns the stripe an operation holding sc records on.
+func (s *Stats) of(sc *opScratch) *opCounters { return &s.ops[sc.stripe%statStripes] }
 
 // StatsSnapshot is a point-in-time copy of the counters.
 type StatsSnapshot struct {
@@ -59,14 +83,7 @@ type StatsSnapshot struct {
 
 // Stats returns a snapshot of the counters.
 func (t *Tree) Stats() StatsSnapshot {
-	return StatsSnapshot{
-		Searches:        t.stats.searches.Load(),
-		Inserts:         t.stats.inserts.Load(),
-		Deletes:         t.stats.deletes.Load(),
-		Scans:           t.stats.scans.Load(),
-		Upserts:         t.stats.upserts.Load(),
-		Updates:         t.stats.updates.Load(),
-		Cas:             t.stats.cas.Load(),
+	s := StatsSnapshot{
 		Splits:          t.stats.splits.Load(),
 		RootSplits:      t.stats.rootSplits.Load(),
 		LinkHops:        t.stats.linkHops.Load(),
@@ -75,21 +92,40 @@ func (t *Tree) Stats() StatsSnapshot {
 		Backtracks:      t.stats.backtracks.Load(),
 		LevelWaits:      t.stats.levelWaits.Load(),
 		UnderfullEvents: t.stats.underfullEvents.Load(),
-		InsertLocks:     t.stats.insertFP.Snapshot(),
-		DeleteLocks:     t.stats.deleteFP.Snapshot(),
-		CondLocks:       t.stats.condFP.Snapshot(),
 	}
+	var ins, del, cond [statStripes]*locks.FootprintStats
+	for i := range t.stats.ops {
+		o := &t.stats.ops[i]
+		s.Searches += o.searches.Load()
+		s.Inserts += o.inserts.Load()
+		s.Deletes += o.deletes.Load()
+		s.Scans += o.scans.Load()
+		s.Upserts += o.upserts.Load()
+		s.Updates += o.updates.Load()
+		s.Cas += o.cas.Load()
+		ins[i], del[i], cond[i] = &o.insertFP, &o.deleteFP, &o.condFP
+	}
+	s.InsertLocks = locks.SumFootprints(ins[:]...)
+	s.DeleteLocks = locks.SumFootprints(del[:]...)
+	s.CondLocks = locks.SumFootprints(cond[:]...)
+	return s
 }
 
 // ResetStats zeroes every counter.
 func (t *Tree) ResetStats() {
-	t.stats.searches.Store(0)
-	t.stats.inserts.Store(0)
-	t.stats.deletes.Store(0)
-	t.stats.scans.Store(0)
-	t.stats.upserts.Store(0)
-	t.stats.updates.Store(0)
-	t.stats.cas.Store(0)
+	for i := range t.stats.ops {
+		o := &t.stats.ops[i]
+		o.searches.Store(0)
+		o.inserts.Store(0)
+		o.deletes.Store(0)
+		o.scans.Store(0)
+		o.upserts.Store(0)
+		o.updates.Store(0)
+		o.cas.Store(0)
+		o.insertFP.Reset()
+		o.deleteFP.Reset()
+		o.condFP.Reset()
+	}
 	t.stats.splits.Store(0)
 	t.stats.rootSplits.Store(0)
 	t.stats.linkHops.Store(0)
@@ -98,7 +134,4 @@ func (t *Tree) ResetStats() {
 	t.stats.backtracks.Store(0)
 	t.stats.levelWaits.Store(0)
 	t.stats.underfullEvents.Store(0)
-	t.stats.insertFP.Reset()
-	t.stats.deleteFP.Reset()
-	t.stats.condFP.Reset()
 }

@@ -79,11 +79,14 @@ type UnderfullEvent struct {
 // Tree is a Sagiv B-link tree. All exported methods are safe for
 // concurrent use by any number of goroutines.
 type Tree struct {
-	store node.Store
-	lt    locks.Locker
-	k     int
-	pol   RestartPolicy
-	rec   *reclaim.Reclaimer
+	// Read by every operation and written (almost) never; the padding
+	// below keeps them off the lines the counters live on.
+	store  node.Store
+	lt     locks.Locker
+	k      int
+	pol    RestartPolicy
+	rec    *reclaim.Reclaimer
+	closed atomic.Bool
 
 	// onUnderfull, when set via SetUnderfullHandler, is invoked (while
 	// the lock on the node is still held, per §5.4) whenever a deletion
@@ -95,9 +98,9 @@ type Tree struct {
 	// has it resident before the hop.
 	prefetch func(base.PageID)
 
-	length atomic.Int64
-	stats  Stats
-	closed atomic.Bool
+	_ [64]byte
+
+	stats Stats
 }
 
 // New creates a Tree, bootstrapping an empty root leaf if the store's
@@ -184,7 +187,13 @@ func (t *Tree) SetUnderfullHandler(fn func(UnderfullEvent)) {
 }
 
 // Len returns the number of stored pairs (exact when quiesced).
-func (t *Tree) Len() int { return int(t.length.Load()) }
+func (t *Tree) Len() int {
+	var n int64
+	for i := range t.stats.ops {
+		n += t.stats.ops[i].length.Load()
+	}
+	return int(n)
+}
 
 // Height returns the current number of levels.
 func (t *Tree) Height() int {
@@ -218,18 +227,22 @@ func (t *Tree) prefetchLink(n *node.Node) {
 	}
 }
 
-// enter brackets a logical operation in the reclamation epoch.
-func (t *Tree) enter() (reclaim.Guard, bool) {
-	if t.rec == nil {
-		return reclaim.Guard{}, false
+// begin opens a logical operation: it takes the operation's scratch and
+// brackets it in the reclamation epoch (§5.3), entering at the slot the
+// scratch's stripe names. end closes both.
+func (t *Tree) begin() (sc *opScratch, g reclaim.Guard) {
+	sc = getScratch()
+	if t.rec != nil {
+		g = t.rec.EnterAt(sc.stripe)
 	}
-	return t.rec.Enter(), true
+	return sc, g
 }
 
-func (t *Tree) exit(g reclaim.Guard, ok bool) {
-	if ok {
+func (t *Tree) end(sc *opScratch, g reclaim.Guard) {
+	if t.rec != nil {
 		t.rec.Exit(g)
 	}
+	putScratch(sc)
 }
 
 // waitForLevel blocks until the prime block advertises at least

@@ -88,19 +88,17 @@ func (q *Queue) TryPop() (blink.UnderfullEvent, bool) {
 	return q.popLocked()
 }
 
-// Pop blocks until an entry is available or the queue is closed.
-func (q *Queue) Pop() (blink.UnderfullEvent, bool) {
+// Wait blocks until the queue holds an entry or is closed, and reports
+// which: true means TryPop is worth calling (another consumer may still
+// win the entry). It removes nothing, so a consumer can take whatever
+// lock must cover its work between waking and popping.
+func (q *Queue) Wait() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if ev, ok := q.popLocked(); ok {
-			return ev, true
-		}
-		if q.closed {
-			return blink.UnderfullEvent{}, false
-		}
+	for len(q.byID) == 0 && !q.closed {
 		q.cond.Wait()
 	}
+	return len(q.byID) > 0
 }
 
 func (q *Queue) popLocked() (blink.UnderfullEvent, bool) {
@@ -130,7 +128,7 @@ func (q *Queue) Len() int {
 	return len(q.byID)
 }
 
-// Close wakes all blocked Pops; subsequent Offers are dropped.
+// Close wakes all blocked Waits; subsequent Offers are dropped.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true

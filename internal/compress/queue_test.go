@@ -77,11 +77,22 @@ func TestQueueRemove(t *testing.T) {
 	q.Remove(99) // absent: no-op
 }
 
+// blockingPop is the workers' loop: wait for an entry, then race the
+// other consumers for it.
+func blockingPop(q *Queue) (blink.UnderfullEvent, bool) {
+	for q.Wait() {
+		if e, ok := q.TryPop(); ok {
+			return e, true
+		}
+	}
+	return blink.UnderfullEvent{}, false
+}
+
 func TestQueueCloseUnblocksPop(t *testing.T) {
 	q := NewQueue()
 	done := make(chan bool)
 	go func() {
-		_, ok := q.Pop()
+		_, ok := blockingPop(q)
 		done <- ok
 	}()
 	q.Close()
@@ -98,7 +109,7 @@ func TestQueuePopBlocksUntilOffer(t *testing.T) {
 	q := NewQueue()
 	got := make(chan blink.UnderfullEvent)
 	go func() {
-		e, ok := q.Pop()
+		e, ok := blockingPop(q)
 		if ok {
 			got <- e
 		}
@@ -121,7 +132,7 @@ func TestQueueConcurrentOfferPop(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				e, ok := q.Pop()
+				e, ok := blockingPop(q)
 				if !ok {
 					return
 				}

@@ -78,13 +78,13 @@ func (c *Compressor) Start(n int) {
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			for {
-				ev, ok := c.queue.Pop()
-				if !ok {
-					return
-				}
+			// An entry is popped and worked on entirely under the gate,
+			// so Pause leaves no worker holding one.
+			for c.queue.Wait() {
 				c.gate.RLock()
-				_ = c.compressOne(ev) // errors are counted, not fatal
+				if ev, ok := c.queue.TryPop(); ok {
+					_ = c.compressOne(ev) // errors are counted, not fatal
+				}
 				c.gate.RUnlock()
 			}
 		}()

@@ -140,16 +140,24 @@ type Footprint struct {
 }
 
 // Snapshot returns the current aggregate.
-func (s *FootprintStats) Snapshot() Footprint {
-	ops := s.ops.Load()
-	f := Footprint{
-		Ops:      ops,
-		Acquires: s.acquires.Load(),
-		MaxHeld:  s.maxHeld.Load(),
+func (s *FootprintStats) Snapshot() Footprint { return SumFootprints(s) }
+
+// SumFootprints returns the aggregate of several FootprintStats as one
+// Footprint — how a caller that keeps one FootprintStats per stripe, so
+// that concurrent operations record on different cache lines, reads
+// them back.
+func SumFootprints(parts ...*FootprintStats) Footprint {
+	var f Footprint
+	var sumMax uint64
+	for _, s := range parts {
+		f.Ops += s.ops.Load()
+		f.Acquires += s.acquires.Load()
+		f.MaxHeld = max(f.MaxHeld, s.maxHeld.Load())
+		sumMax += s.sumMax.Load()
 	}
-	if ops > 0 {
-		f.MeanMaxHeld = float64(s.sumMax.Load()) / float64(ops)
-		f.MeanLocks = float64(f.Acquires) / float64(ops)
+	if f.Ops > 0 {
+		f.MeanMaxHeld = float64(sumMax) / float64(f.Ops)
+		f.MeanLocks = float64(f.Acquires) / float64(f.Ops)
 	}
 	return f
 }

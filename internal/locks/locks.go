@@ -1,6 +1,8 @@
 // Package locks implements the lock substrate of the paper's model
 // (§2.2): a single lock type per node that excludes other lockers but
-// not readers. It also provides
+// not readers — Table, one mutex per page held in a page directory
+// (internal/pagedir), so that taking a page's lock touches that page's
+// mutex and no other shared word. It also provides
 //
 //   - Holder: per-operation accounting of how many locks are held
 //     simultaneously, which is the unit of the paper's headline claim
@@ -14,6 +16,7 @@ import (
 	"sync"
 
 	"blinktree/internal/base"
+	"blinktree/internal/pagedir"
 )
 
 // Locker is a per-page mutual-exclusion service. Lock blocks until the
@@ -23,86 +26,43 @@ type Locker interface {
 	Unlock(id base.PageID)
 }
 
-const tableShards = 64
-
-// Table is the standard Locker: a sharded map of per-page mutexes.
-// Entries persist once created; the per-page footprint is one mutex.
+// Table is the standard Locker: one mutex per page, kept in a directory
+// indexed by page id (internal/pagedir), so Lock and Unlock are the
+// page's own mutex operation and nothing else — no table-wide or
+// shard-wide lock, no hashing, no per-page allocation. The directory
+// grows with the largest id ever locked; the per-page footprint is the
+// mutex's 8 bytes.
 type Table struct {
-	shards [tableShards]tableShard
-}
-
-type tableShard struct {
-	mu sync.Mutex
-	m  map[base.PageID]*sync.Mutex
+	dir pagedir.Dir[sync.Mutex]
 }
 
 // NewTable returns an empty lock table.
-func NewTable() *Table {
-	t := &Table{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[base.PageID]*sync.Mutex)
-	}
-	return t
-}
-
-func (t *Table) mutexFor(id base.PageID) *sync.Mutex {
-	s := &t.shards[id%tableShards]
-	s.mu.Lock()
-	m, ok := s.m[id]
-	if !ok {
-		m = &sync.Mutex{}
-		s.m[id] = m
-	}
-	s.mu.Unlock()
-	return m
-}
+func NewTable() *Table { return &Table{} }
 
 // Lock implements Locker.
-func (t *Table) Lock(id base.PageID) { t.mutexFor(id).Lock() }
+func (t *Table) Lock(id base.PageID) { t.dir.Ensure(id).Lock() }
 
 // Unlock implements Locker.
-func (t *Table) Unlock(id base.PageID) { t.mutexFor(id).Unlock() }
+func (t *Table) Unlock(id base.PageID) { t.dir.Ensure(id).Unlock() }
 
 // RWTable provides per-page read/write locks for algorithms (the
 // lock-coupling baseline) that, unlike the paper's, make readers lock.
+// It is laid out like Table.
 type RWTable struct {
-	shards [tableShards]rwShard
-}
-
-type rwShard struct {
-	mu sync.Mutex
-	m  map[base.PageID]*sync.RWMutex
+	dir pagedir.Dir[sync.RWMutex]
 }
 
 // NewRWTable returns an empty read/write lock table.
-func NewRWTable() *RWTable {
-	t := &RWTable{}
-	for i := range t.shards {
-		t.shards[i].m = make(map[base.PageID]*sync.RWMutex)
-	}
-	return t
-}
-
-func (t *RWTable) mutexFor(id base.PageID) *sync.RWMutex {
-	s := &t.shards[id%tableShards]
-	s.mu.Lock()
-	m, ok := s.m[id]
-	if !ok {
-		m = &sync.RWMutex{}
-		s.m[id] = m
-	}
-	s.mu.Unlock()
-	return m
-}
+func NewRWTable() *RWTable { return &RWTable{} }
 
 // RLock takes the page lock in shared mode.
-func (t *RWTable) RLock(id base.PageID) { t.mutexFor(id).RLock() }
+func (t *RWTable) RLock(id base.PageID) { t.dir.Ensure(id).RLock() }
 
 // RUnlock releases a shared hold.
-func (t *RWTable) RUnlock(id base.PageID) { t.mutexFor(id).RUnlock() }
+func (t *RWTable) RUnlock(id base.PageID) { t.dir.Ensure(id).RUnlock() }
 
 // Lock takes the page lock exclusively.
-func (t *RWTable) Lock(id base.PageID) { t.mutexFor(id).Lock() }
+func (t *RWTable) Lock(id base.PageID) { t.dir.Ensure(id).Lock() }
 
 // Unlock releases an exclusive hold.
-func (t *RWTable) Unlock(id base.PageID) { t.mutexFor(id).Unlock() }
+func (t *RWTable) Unlock(id base.PageID) { t.dir.Ensure(id).Unlock() }

@@ -158,7 +158,7 @@ func TestFootprintStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			h := NewHolder(tab)
 			for i := 0; i < 50; i++ {
-				id := base.PageID(w*1000 + i)
+				id := base.PageID(w*1000 + i + 1) // page ids start at 1
 				h.Lock(id)
 				h.Unlock(id)
 				fs.Record(h)
@@ -256,4 +256,120 @@ func TestDetectorFindsCycle(t *testing.T) {
 	// The two goroutines are genuinely deadlocked by construction; they
 	// are deliberately abandoned (process exit reaps them). This is the
 	// one test that must create a real cycle to validate the oracle.
+}
+
+// TestTableExclusionAcrossChunks: the table's directory holds mutexes in
+// chunks that end at ids 64, 192, 448, 960, …; pages spread over five of
+// them, locked by goroutines that reach each page for the first time at
+// the same moment, each exclude per page and not across pages. The
+// counters are plain ints, so -race fails the test if two holders of
+// one page's lock overlap.
+func TestTableExclusionAcrossChunks(t *testing.T) {
+	tab := NewTable()
+	pages := []base.PageID{1, 64, 65, 192, 193, 448, 449, 960, 961, 1500}
+	counts := make([]int, len(pages))
+	const workers, rounds = 8, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				i := (w + r) % len(pages)
+				tab.Lock(pages[i])
+				counts[i]++
+				tab.Unlock(pages[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != workers*rounds {
+		t.Fatalf("%d increments under the page locks, want %d: an update was lost", total, workers*rounds)
+	}
+
+	// A held page blocks a second locker of that page and no other page,
+	// neighbours in its chunk included.
+	tab.Lock(449)
+	blocked := make(chan struct{})
+	go func() { tab.Lock(449); tab.Unlock(449); close(blocked) }()
+	for _, p := range []base.PageID{448, 450, 1, 961} {
+		tab.Lock(p)
+		tab.Unlock(p)
+	}
+	select {
+	case <-blocked:
+		t.Fatal("second Lock of a held page did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	tab.Unlock(449)
+	<-blocked
+}
+
+// TestRWTableAcrossChunks is the same exclusion for the read/write
+// table: writers exclude, readers of one page share.
+func TestRWTableAcrossChunks(t *testing.T) {
+	tab := NewRWTable()
+	pages := []base.PageID{64, 65, 192, 193, 961}
+	counts := make([]int, len(pages))
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 300; r++ {
+				i := (w + r) % len(pages)
+				if w%2 == 0 {
+					tab.Lock(pages[i])
+					counts[i]++
+					tab.Unlock(pages[i])
+				} else {
+					tab.RLock(pages[i])
+					_ = counts[i]
+					tab.RUnlock(pages[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total != 3*300 {
+		t.Fatalf("%d increments under the write locks, want %d", total, 3*300)
+	}
+	tab.RLock(193)
+	tab.RLock(193) // shared with the first reader
+	tab.RUnlock(193)
+	tab.RUnlock(193)
+}
+
+// TestZeroAllocTableLockUnlock: locking a page the table has seen is the
+// page mutex's own Lock and Unlock, with nothing allocated; a page it
+// has not seen costs at most the chunk that holds its mutex.
+func TestZeroAllocTableLockUnlock(t *testing.T) {
+	tab := NewTable()
+	tab.Lock(5000)
+	tab.Unlock(5000)
+	id := base.PageID(1)
+	if a := testing.AllocsPerRun(2000, func() {
+		tab.Lock(id)
+		tab.Unlock(id)
+		id = id%5000 + 1
+	}); a != 0 {
+		t.Fatalf("Table.Lock+Unlock on a seen page allocates %v times", a)
+	}
+	h := NewHolder(tab)
+	if a := testing.AllocsPerRun(2000, func() {
+		h.Lock(id)
+		h.Unlock(id)
+		h.Reset()
+		id = id%5000 + 1
+	}); a != 0 {
+		t.Fatalf("Holder.Lock+Unlock allocates %v times", a)
+	}
 }

@@ -50,6 +50,25 @@ func (n *Node) Clone() *Node {
 	return &c
 }
 
+// insertAt returns a copy of s, at its final length, with v inserted at
+// position i; removeAt one with s[i] removed. The edits below build
+// their result with these so that a rewrite allocates each slice once,
+// at the size it ends up with.
+func insertAt[T any](s []T, i int, v T) []T {
+	c := make([]T, len(s)+1)
+	copy(c, s[:i])
+	c[i] = v
+	copy(c[i+1:], s[i:])
+	return c
+}
+
+func removeAt[T any](s []T, i int) []T {
+	c := make([]T, len(s)-1)
+	copy(c, s[:i])
+	copy(c[i:], s[i+1:])
+	return c
+}
+
 // Covers reports whether k belongs to this node's key range (Low, High].
 func (n *Node) Covers(k base.Key) bool {
 	return n.Low.Less(k) && n.High.GreaterEqual(k)
@@ -102,14 +121,10 @@ func (n *Node) InsertLeafPair(k base.Key, v base.Value) *Node {
 	if ok {
 		panic(fmt.Sprintf("node: InsertLeafPair duplicate key %d", k))
 	}
-	c := n.Clone()
-	c.Keys = append(c.Keys, 0)
-	copy(c.Keys[i+1:], c.Keys[i:])
-	c.Keys[i] = k
-	c.Vals = append(c.Vals, 0)
-	copy(c.Vals[i+1:], c.Vals[i:])
-	c.Vals[i] = v
-	return c
+	c := *n
+	c.Keys = insertAt(n.Keys, i, k)
+	c.Vals = insertAt(n.Vals, i, v)
+	return &c
 }
 
 // SetLeafValue returns a copy of the leaf with the value stored under k
@@ -124,9 +139,12 @@ func (n *Node) SetLeafValue(k base.Key, v base.Value) *Node {
 	if !ok {
 		panic(fmt.Sprintf("node: SetLeafValue of absent key %d", k))
 	}
-	c := n.Clone()
+	// The copy shares Keys with n: snapshots are immutable, so only the
+	// slice that changes needs a new array.
+	c := *n
+	c.Vals = append([]base.Value(nil), n.Vals...)
 	c.Vals[i] = v
-	return c
+	return &c
 }
 
 // DeleteLeafPair returns a copy of the leaf with k removed, or nil if k
@@ -136,10 +154,10 @@ func (n *Node) DeleteLeafPair(k base.Key) *Node {
 	if !ok {
 		return nil
 	}
-	c := n.Clone()
-	c.Keys = append(c.Keys[:i], c.Keys[i+1:]...)
-	c.Vals = append(c.Vals[:i], c.Vals[i+1:]...)
-	return c
+	c := *n
+	c.Keys = removeAt(n.Keys, i)
+	c.Vals = removeAt(n.Vals, i)
+	return &c
 }
 
 // InsertSeparator returns a copy of the internal node with separator sep
@@ -154,14 +172,10 @@ func (n *Node) InsertSeparator(sep base.Key, child base.PageID) (*Node, error) {
 	if ok {
 		return nil, fmt.Errorf("%w: separator %d already present in node %d", base.ErrCorrupt, sep, n.ID)
 	}
-	c := n.Clone()
-	c.Keys = append(c.Keys, 0)
-	copy(c.Keys[i+1:], c.Keys[i:])
-	c.Keys[i] = sep
-	c.Children = append(c.Children, 0)
-	copy(c.Children[i+2:], c.Children[i+1:])
-	c.Children[i+1] = child
-	return c, nil
+	c := *n
+	c.Keys = insertAt(n.Keys, i, sep)
+	c.Children = insertAt(n.Children, i+1, child)
+	return &c, nil
 }
 
 // RemoveSeparator returns a copy with Keys[i] and Children[i+1] removed —
@@ -172,10 +186,10 @@ func (n *Node) RemoveSeparator(i int) *Node {
 	if n.Leaf {
 		panic("node: RemoveSeparator on leaf")
 	}
-	c := n.Clone()
-	c.Keys = append(c.Keys[:i], c.Keys[i+1:]...)
-	c.Children = append(c.Children[:i+1], c.Children[i+2:]...)
-	return c
+	c := *n
+	c.Keys = removeAt(n.Keys, i)
+	c.Children = removeAt(n.Children, i+1)
+	return &c
 }
 
 // Pairs returns the number of stored pairs: key/value pairs in a leaf,

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"blinktree/internal/base"
+	"blinktree/internal/pagedir"
 )
 
 // Store provides the paper's get/put model over Nodes (§2.2): Get and
@@ -36,20 +37,28 @@ type Store interface {
 
 // MemStore keeps node snapshots in memory behind atomic pointers. It is
 // the fastest substrate and the reference implementation of the
-// indivisibility contract: Put is a single pointer swap.
+// indivisibility contract: Put is a single pointer swap and Get takes
+// no lock and writes no shared memory — closed check, directory index,
+// pointer load.
 type MemStore struct {
-	mu     sync.RWMutex // guards growth of slots
-	slots  []*slot
-	free   []base.PageID
-	prime  atomic.Pointer[Prime]
+	// Read by every Get and Put, written almost never: closed once, the
+	// prime block per root split, the directory's spine once per
+	// doubling of the page count.
 	closed atomic.Bool
+	prime  atomic.Pointer[Prime]
+	dir    pagedir.Dir[atomic.Pointer[Node]] // nil slot = unallocated, reserved = allocated, not yet written
 
-	gets, puts atomic.Uint64
+	_ [64]byte // keeps the allocator's words, which every Allocate and Free writes, off the lines above
+
+	mu    sync.Mutex // guards the allocator: next, free, pages
+	next  base.PageID
+	free  []base.PageID
+	pages int
 }
 
-type slot struct {
-	n atomic.Pointer[Node] // nil when the page is unallocated
-}
+// reserved marks a slot whose page is allocated but not yet written, so
+// that Put and Free can tell it from an unallocated one.
+var reserved = new(Node)
 
 // NewMemStore returns an empty in-memory node store with an empty prime
 // block (no root).
@@ -59,34 +68,22 @@ func NewMemStore() *MemStore {
 	return s
 }
 
-func (s *MemStore) slotFor(id base.PageID) (*slot, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := int(id)
-	if i <= 0 || i > len(s.slots) || s.slots[i-1] == nil {
-		return nil, fmt.Errorf("%w: page %d unallocated", base.ErrCorrupt, id)
-	}
-	return s.slots[i-1], nil
-}
-
 // Get implements Store.
 func (s *MemStore) Get(id base.PageID) (*Node, error) {
 	if s.closed.Load() {
 		return nil, base.ErrClosed
 	}
-	sl, err := s.slotFor(id)
-	if err != nil {
-		return nil, err
+	if sl := s.dir.At(id); sl != nil {
+		if n := sl.Load(); n != nil && n != reserved {
+			return n, nil
+		}
 	}
-	s.gets.Add(1)
-	n := sl.n.Load()
-	if n == nil {
-		return nil, fmt.Errorf("%w: page %d never written", base.ErrCorrupt, id)
-	}
-	return n, nil
+	return nil, fmt.Errorf("%w: page %d unallocated or never written", base.ErrCorrupt, id)
 }
 
-// Put implements Store.
+// Put implements Store. A Put that races the Free of its own page is
+// outside the contract (the §5.3 epoch rule frees a page only after
+// every operation that could write it has finished).
 func (s *MemStore) Put(n *Node) error {
 	if s.closed.Load() {
 		return base.ErrClosed
@@ -94,12 +91,11 @@ func (s *MemStore) Put(n *Node) error {
 	if n.ID == base.NilPage {
 		return fmt.Errorf("%w: Put of node with nil id", base.ErrCorrupt)
 	}
-	sl, err := s.slotFor(n.ID)
-	if err != nil {
-		return err
+	sl := s.dir.At(n.ID)
+	if sl == nil || sl.Load() == nil {
+		return fmt.Errorf("%w: page %d unallocated", base.ErrCorrupt, n.ID)
 	}
-	s.puts.Add(1)
-	sl.n.Store(n)
+	sl.Store(n)
 	return nil
 }
 
@@ -110,29 +106,35 @@ func (s *MemStore) Allocate() (base.PageID, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var id base.PageID
 	if n := len(s.free); n > 0 {
-		id := s.free[n-1]
+		id = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.slots[id-1] = &slot{}
-		return id, nil
+	} else {
+		s.next++
+		id = s.next
 	}
-	s.slots = append(s.slots, &slot{})
-	return base.PageID(len(s.slots)), nil
+	s.dir.Ensure(id).Store(reserved)
+	s.pages++
+	return id, nil
 }
 
-// Free implements Store.
+// Free implements Store. It clears the slot, so that a Get of the id
+// fails until the page is allocated and written again and a recycled id
+// never shows the node of its previous life.
 func (s *MemStore) Free(id base.PageID) error {
 	if s.closed.Load() {
 		return base.ErrClosed
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	i := int(id)
-	if i <= 0 || i > len(s.slots) || s.slots[i-1] == nil {
+	sl := s.dir.At(id)
+	if sl == nil || sl.Load() == nil {
 		return fmt.Errorf("%w: Free of unallocated page %d", base.ErrCorrupt, id)
 	}
-	s.slots[i-1] = nil
+	sl.Store(nil)
 	s.free = append(s.free, id)
+	s.pages--
 	return nil
 }
 
@@ -156,25 +158,13 @@ func (s *MemStore) WritePrime(p Prime) error {
 
 // Pages implements Store.
 func (s *MemStore) Pages() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, sl := range s.slots {
-		if sl != nil {
-			n++
-		}
-	}
-	return n
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pages
 }
 
 // Close implements Store.
 func (s *MemStore) Close() error {
 	s.closed.Store(true)
 	return nil
-}
-
-// Ops returns the lifetime get and put counts, the paper's physical-
-// operation counts.
-func (s *MemStore) Ops() (gets, puts uint64) {
-	return s.gets.Load(), s.puts.Load()
 }

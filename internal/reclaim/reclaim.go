@@ -78,9 +78,16 @@ type Guard struct {
 // state (rand.Uint64 takes no locks and touches no shared memory) and
 // probes linearly from there, so the only shared write left is the CAS
 // that claims a free slot, almost always uncontended with 128 slots.
-func (r *Reclaimer) Enter() Guard {
+func (r *Reclaimer) Enter() Guard { return r.EnterAt(uint32(rand.Uint64())) }
+
+// EnterAt is Enter for a caller that has something better than a random
+// number to choose its slot with: hint names the slot to try first. A
+// caller whose hint stays with one CPU (a number carried by a sync.Pool
+// object, say) keeps that slot's line in that CPU's cache, where a
+// random choice lands on a line some other CPU wrote last.
+func (r *Reclaimer) EnterAt(hint uint32) Guard {
 	e := r.epoch.Load()
-	i := int(rand.Uint64() % slots)
+	i := int(hint % slots)
 	for {
 		if r.slot[i].epoch.CompareAndSwap(0, e) {
 			return Guard{slot: i + 1}

@@ -598,14 +598,18 @@ func (e *Engine) Compact() error {
 }
 
 // DrainCompression processes the pending underfull queue once without
-// running full scan passes. No-op when compression is off; serializes
-// with Checkpoint like Compact.
+// running full scan passes. The background workers are paused for the
+// drain, so when it returns no rearrangement is in flight and, absent
+// concurrent deletions, the structure holds still for a Check. No-op
+// when compression is off; serializes with Checkpoint like Compact.
 func (e *Engine) DrainCompression() error {
 	if e.comp == nil {
 		return nil
 	}
 	e.ckptMu.Lock()
 	defer e.ckptMu.Unlock()
+	e.comp.Pause()
+	defer e.comp.Resume()
 	if err := e.comp.DrainOnce(); err != nil {
 		return err
 	}

@@ -315,6 +315,11 @@ func TestConcurrentInsertDuringScan(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	// The churn's deletions left background compression work queued;
+	// Check wants a structure that holds still.
+	if err := r.DrainCompression(); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,27 @@
+#!/bin/sh
+# One profiling command (SNIPPETS.md snippet 1's workflow): runs a
+# benchmark with CPU and allocation profiles and prints pprof -top for
+# both. The default benchmark is blinkbench's mem-balanced shape.
+#
+#   scripts/profile.sh                                     # BenchmarkMemBalanced, root package
+#   scripts/profile.sh BenchmarkSearchParallel ./internal/blink
+#   PROFILE_CPU=1,2 PROFILE_TIME=5s PROFILE_TOP=25 scripts/profile.sh
+#
+# The test binary and the profiles land in profiles/ (git-ignored); look
+# closer with `go tool pprof -list <regexp> profiles/<bench>.test profiles/<bench>_cpu.pprof`.
+set -eu
+cd "$(dirname "$0")/.."
+
+bench="${1:-BenchmarkMemBalanced}"
+pkg="${2:-.}"
+cpu="${PROFILE_CPU:-$(getconf _NPROCESSORS_ONLN)}"
+top="${PROFILE_TOP:-15}"
+out="$PWD/profiles"
+mkdir -p "$out"
+
+go test -run '^$' -bench "^${bench}\$" -benchtime "${PROFILE_TIME:-10s}" -cpu "$cpu" -benchmem \
+	-o "$out/$bench.test" -cpuprofile "$out/${bench}_cpu.pprof" -memprofile "$out/${bench}_mem.pprof" "$pkg"
+echo "--- cpu, top $top (flat)"
+go tool pprof -top -nodecount "$top" "$out/$bench.test" "$out/${bench}_cpu.pprof" 2>/dev/null | tail -n +6
+echo "--- allocations, top $top (alloc_space)"
+go tool pprof -sample_index=alloc_space -top -nodecount "$top" "$out/$bench.test" "$out/${bench}_mem.pprof" 2>/dev/null | tail -n +5
