@@ -938,3 +938,50 @@ func BenchmarkMemBalanced(b *testing.B) {
 	}
 	benchMix(b, t, 2*keys, workload.Balanced)
 }
+
+// BenchmarkDiskRead is blinkbench's disk-read cell as a go test
+// benchmark, so scripts/profile.sh BenchmarkDiskRead profiles it: a
+// disk-native tree, 1M keys bulk-loaded at fill 0.7, then 90 % Search /
+// 10 % Upsert uniform over the loaded keys. The sub-benchmarks size the
+// buffer pool at 10 % (the gated cell), 5 % and 1 % of the page file.
+// The page file sits in the operating system's cache here, so a miss
+// costs a read system call, not a device.
+func BenchmarkDiskRead(b *testing.B) {
+	const keys = 1_000_000
+	load := func(t *Tree) {
+		var next uint64
+		if err := t.BulkLoad(func() (Key, Value, bool) {
+			if next >= keys {
+				return 0, 0, false
+			}
+			next++
+			return Key(next - 1), Value(next), true
+		}, 0.7); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The page file is one page per node; the bulk loader packs nodes
+	// the same way on either store, so an in-memory load measures it.
+	m, err := Open(Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	load(m)
+	st, err := m.Stats()
+	m.Close()
+	if err != nil {
+		b.Fatal(err)
+	}
+	footprint := int64(st.Occupancy.Nodes) * storage.DefaultPageSize
+	for _, pct := range []int64{10, 5, 1} {
+		b.Run(fmt.Sprintf("pool=%d%%", pct), func(b *testing.B) {
+			t, err := Open(Options{DiskNative: true, CacheBytes: footprint * pct / 100})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer t.Close()
+			load(t)
+			benchMix(b, t, keys, workload.Mix{SearchPct: 90, UpsertPct: 10})
+		})
+	}
+}

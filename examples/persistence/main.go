@@ -1,6 +1,6 @@
 // Persistence: run the tree on a file-backed page store through the
-// LRU buffer pool (the disk-resident regime the paper was written
-// for), and move logical data between trees with Snapshot/Restore.
+// clock-eviction buffer pool (the disk-resident regime the paper was
+// written for), and move logical data between trees with Snapshot/Restore.
 package main
 
 import (

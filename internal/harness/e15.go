@@ -20,8 +20,8 @@ import (
 //
 // The claim under test: with the cache fully warm (ratio 100%, every
 // page resident after warmup) disk-native reads land within ~3x of the
-// in-memory engine — the pool's pin/latch accounting and the LRU
-// bookkeeping are the whole overhead — and throughput degrades
+// in-memory engine — the pool's directory lookup, hit counter and
+// clock reference bit are the whole overhead — and throughput degrades
 // smoothly, not catastrophically, as the budget shrinks and misses
 // force demand fault-ins.
 func E15DiskNative(w io.Writer, s Scale) error {

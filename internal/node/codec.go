@@ -69,12 +69,33 @@ func EncodedSize(n *Node) int {
 	return headerSize + len(n.Keys)*8 + len(n.Children)*4
 }
 
+// encodable reports why n cannot be encoded into a page of size bytes,
+// or nil. Encode checks it before it writes a byte, so a refused node
+// leaves the page as it was.
+func encodable(n *Node, size int) error {
+	if need := EncodedSize(n); size < need {
+		return fmt.Errorf("%w: node %d needs %d bytes, page is %d", base.ErrCorrupt, n.ID, need, size)
+	}
+	if n.Low.Kind == base.PosInf {
+		return fmt.Errorf("%w: node %d low bound is +inf", base.ErrCorrupt, n.ID)
+	}
+	if n.High.Kind != base.Finite && n.High.Kind != base.PosInf {
+		return fmt.Errorf("%w: node %d high bound is -inf", base.ErrCorrupt, n.ID)
+	}
+	return nil
+}
+
 // Encode writes n into buf, which must be large enough (a full page).
 func Encode(n *Node, buf []byte) error {
-	need := EncodedSize(n)
-	if len(buf) < need {
-		return fmt.Errorf("%w: node %d needs %d bytes, page is %d", base.ErrCorrupt, n.ID, need, len(buf))
+	if err := encodable(n, len(buf)); err != nil {
+		return err
 	}
+	encode(n, buf)
+	return nil
+}
+
+// encode writes an encodable n over the whole of buf.
+func encode(n *Node, buf []byte) {
 	clear(buf)
 	copy(buf[0:4], magic[:])
 	var flags byte
@@ -87,21 +108,15 @@ func Encode(n *Node, buf []byte) error {
 	if n.Deleted {
 		flags |= flagDeleted
 	}
-	switch n.Low.Kind {
-	case base.Finite:
+	if n.Low.Kind == base.Finite {
 		flags |= flagLowFinite
 		binary.LittleEndian.PutUint64(buf[8:], uint64(n.Low.K))
-	case base.PosInf:
-		return fmt.Errorf("%w: node %d low bound is +inf", base.ErrCorrupt, n.ID)
 	}
-	switch n.High.Kind {
-	case base.Finite:
+	if n.High.Kind == base.Finite {
 		flags |= flagHighFinite
 		binary.LittleEndian.PutUint64(buf[16:], uint64(n.High.K))
-	case base.PosInf:
+	} else {
 		flags |= flagHighPosInf
-	default:
-		return fmt.Errorf("%w: node %d high bound is -inf", base.ErrCorrupt, n.ID)
 	}
 	buf[4] = flags
 	binary.LittleEndian.PutUint16(buf[6:], uint16(len(n.Keys)))
@@ -124,7 +139,6 @@ func Encode(n *Node, buf []byte) error {
 			off += 4
 		}
 	}
-	return nil
 }
 
 // Decode parses a node image. id is the page it was read from.

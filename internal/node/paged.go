@@ -23,17 +23,18 @@ type Prefetcher interface {
 // the paper was written for, where a node is a page of secondary
 // storage. The first allocated page holds the prime block.
 //
-// Over a BufferPool the store works frame-native: Get pins the page's
-// frame, reuses the decoded node cached on the frame when the bytes
-// have not changed (the common warm-cache case — no page read, no
-// decode, no allocation), and decodes in place under the frame latch
-// otherwise; Put encodes into the frame in place and caches the node it
-// just encoded. Nodes are immutable snapshots, so a cached node can be
-// shared freely; the pin only spans the decode or encode, never the
-// caller's use of the node, which is what lets the tree above stay
-// lock-free while frames are evicted and reused underneath it (the
-// §5.3 epoch rules gate the Free, the pool's write-back gates the frame
-// reuse).
+// Over a BufferPool the store works frame-native. Get first looks for
+// the decoded node cached on the page's frame, without pinning: the
+// common warm-cache case takes no lock, reads no page, decodes and
+// allocates nothing, and writes no shared memory but a hit counter.
+// Otherwise it pins the frame and decodes in place under the frame
+// latch. Put encodes into the frame in place, without first reading the
+// page it replaces, and caches the node it just encoded. Nodes are
+// immutable snapshots, so a cached node can be shared freely; a pin
+// only spans the decode or encode, never the caller's use of the node,
+// which is what lets the tree above stay lock-free while frames are
+// evicted and reused underneath it (the §5.3 epoch rules gate the Free,
+// the pool's write-back gates the frame reuse).
 type PagedStore struct {
 	under  storage.Store
 	pool   *storage.BufferPool // non-nil when under is (or wraps) a pool
@@ -89,23 +90,35 @@ func (s *PagedStore) Get(id base.PageID) (*Node, error) {
 	return Decode(id, buf)
 }
 
-// getPooled reads a node through the pool's pin surface. The cached
-// object is set only under the frame latch, so it always corresponds to
-// the frame's current bytes; two racing readers may both decode and
-// both cache, which is benign (equal content, immutable nodes).
+// getPooled reads a node through the pool. The pinless path returns
+// whatever node the page's frame caches, provided the node says it is
+// page id: an unpinned frame can be recycled for another page between
+// the directory lookup and the load of its cached node, and the node's
+// own ID is what tells. A node that passes was the page's current
+// content when it was loaded (storage/doc.go has the argument), and
+// that load is where this Get takes effect. On the pinned path the
+// cached node is set only under the frame latch, so it always matches
+// the frame's bytes; two racing readers may both decode and both cache,
+// which is benign (equal content, immutable nodes).
 func (s *PagedStore) getPooled(id base.PageID) (*Node, error) {
+	if fr := s.pool.Peek(id); fr != nil {
+		if n := storage.CachedObject[Node](fr); n != nil && n.ID == id {
+			s.pool.Touch(fr)
+			return n, nil
+		}
+	}
 	fr, err := s.pool.Pin(id)
 	if err != nil {
 		return nil, err
 	}
-	if obj := fr.CachedObject(); obj != nil {
+	if n := storage.CachedObject[Node](fr); n != nil {
 		s.pool.Unpin(fr)
-		return obj.(*Node), nil
+		return n, nil
 	}
 	fr.RLock()
 	n, err := Decode(id, fr.Data())
 	if err == nil {
-		fr.SetCachedObject(n)
+		storage.SetCachedObject(fr, n)
 	}
 	fr.RUnlock()
 	s.pool.Unpin(fr)
@@ -118,19 +131,21 @@ func (s *PagedStore) Put(n *Node) error {
 		return base.ErrClosed
 	}
 	if s.pool != nil {
-		fr, err := s.pool.Pin(n.ID)
+		// Refuse a bad node before a frame is claimed for it: past this
+		// point the frame's old bytes are gone and the encode must land.
+		if err := encodable(n, s.under.PageSize()); err != nil {
+			return err
+		}
+		fr, err := s.pool.PinOverwrite(n.ID)
 		if err != nil {
 			return err
 		}
-		fr.Lock()
-		err = Encode(n, fr.Data())
-		if err == nil {
-			fr.SetCachedObject(n)
-			fr.MarkDirty()
-		}
+		encode(n, fr.Data())
+		storage.SetCachedObject(fr, n)
+		fr.MarkDirty()
 		fr.Unlock()
 		s.pool.Unpin(fr)
-		return err
+		return nil
 	}
 	buf := make([]byte, s.under.PageSize())
 	if err := Encode(n, buf); err != nil {

@@ -1,0 +1,201 @@
+package node
+
+import (
+	"math/rand/v2"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"blinktree/internal/base"
+	"blinktree/internal/storage"
+)
+
+// newPooledStore returns a PagedStore over a pool of frames frames on an
+// in-memory page store, with pages pages allocated and written as
+// generation 1.
+func newPooledStore(tb testing.TB, frames, pages int) (*PagedStore, []base.PageID) {
+	tb.Helper()
+	s, err := NewPagedStore(storage.NewBufferPool(storage.NewMemStore(storage.DefaultPageSize), frames))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ids := make([]base.PageID, pages)
+	for i := range ids {
+		if ids[i], err = s.Allocate(); err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.Put(genLeaf(ids[i], 1)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s, ids
+}
+
+// TestPagedStoreChurnThroughEviction: 64 pages share 8 frames, so nearly
+// every Get evicts and every frame is recycled from page to page while
+// writers Put rising generations of their own pages. Whatever path a Get
+// takes — the cached node of an unpinned frame, a pin, a fault-in, a
+// wait on another goroutine's fault-in — it returns a complete node of
+// the page it asked for, of a generation no older than the last one the
+// same reader saw (nor, for a page's own writer, than the one it last
+// Put). Run under -race.
+//
+// Mutation-checked: without the Node.ID check on the pinless path it
+// fails every time (a node of another page). Gets here almost never pin
+// a frame that is already resident, so the other half of the protocol,
+// the frame.id re-validation after Pin's increment, has its own churn
+// test on the raw pool (internal/storage); see CHANGES.md.
+func TestPagedStoreChurnThroughEviction(t *testing.T) {
+	const (
+		frames  = 8
+		pages   = 64
+		writers = 4
+		readers = 4
+		rounds  = 4000
+	)
+	s, ids := newPooledStore(t, frames, pages)
+	check := func(who string, id base.PageID, n *Node, min uint64) (uint64, bool) {
+		if n.ID != id || !n.Leaf || len(n.Keys) != 2 || len(n.Vals) != 2 ||
+			n.Keys[0] != base.Key(id) || n.Vals[0] != base.Value(id) || uint64(n.Keys[1]) != uint64(n.Vals[1]) {
+			t.Errorf("%s: Get(%d) returned a torn or foreign node: %v vals=%v", who, id, n, n.Vals)
+			return 0, false
+		}
+		gen := uint64(n.Keys[1])
+		if gen < min {
+			t.Errorf("%s: Get(%d) went back from generation %d to %d", who, id, min, gen)
+			return 0, false
+		}
+		return gen, true
+	}
+	var done atomic.Bool
+	var rwg, wwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
+			rng := rand.New(rand.NewPCG(uint64(r), 7))
+			seen := make([]uint64, pages)
+			for !done.Load() {
+				i := rng.IntN(pages)
+				n, err := s.Get(ids[i])
+				if err != nil {
+					t.Errorf("reader: Get(%d): %v", ids[i], err)
+					return
+				}
+				gen, ok := check("reader", ids[i], n, seen[i])
+				if !ok {
+					return
+				}
+				seen[i] = gen
+			}
+		}(r)
+	}
+	for w := 0; w < writers; w++ {
+		wwg.Add(1)
+		go func(w int) {
+			defer wwg.Done()
+			rng := rand.New(rand.NewPCG(uint64(w), 11))
+			per := pages / writers
+			mine := ids[w*per : (w+1)*per]
+			gen := make([]uint64, per)
+			for i := range gen {
+				gen[i] = 1
+			}
+			for r := 0; r < rounds; r++ {
+				i := rng.IntN(per)
+				gen[i]++
+				if err := s.Put(genLeaf(mine[i], gen[i])); err != nil {
+					t.Errorf("writer: Put(%d): %v", mine[i], err)
+					return
+				}
+				j := rng.IntN(per)
+				n, err := s.Get(mine[j])
+				if err != nil {
+					t.Errorf("writer: Get(%d): %v", mine[j], err)
+					return
+				}
+				if got, ok := check("writer", mine[j], n, gen[j]); !ok {
+					return
+				} else if got != gen[j] {
+					t.Errorf("writer: Get(%d) returned generation %d, its only writer wrote %d", mine[j], got, gen[j])
+					return
+				}
+			}
+		}(w)
+	}
+	wwg.Wait()
+	done.Store(true)
+	rwg.Wait()
+	st := s.Pool().Stats()
+	if st.Evictions == 0 || st.Hits == 0 || st.Misses == 0 {
+		t.Fatalf("no churn, the test is vacuous: %+v", st)
+	}
+	if st.Pinned != 0 {
+		t.Fatalf("pins outstanding at rest: %+v", st)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestZeroAllocPagedGetHit: a Get served by a resident frame's cached
+// node allocates nothing.
+func TestZeroAllocPagedGetHit(t *testing.T) {
+	s, ids := newPooledStore(t, 256, 100)
+	defer s.Close()
+	i := 0
+	if a := testing.AllocsPerRun(2000, func() {
+		if _, err := s.Get(ids[i%len(ids)]); err != nil {
+			t.Fatal(err)
+		}
+		i += 7
+	}); a != 0 {
+		t.Fatalf("PagedStore.Get of a resident page allocates %v times", a)
+	}
+}
+
+// TestAllocPagedGetMiss: a Get that faults its page in allocates the
+// decoded node and its two slices and nothing else — no frame, no page
+// buffer, no box around the cached node.
+func TestAllocPagedGetMiss(t *testing.T) {
+	s, ids := newPooledStore(t, 8, 64)
+	defer s.Close()
+	before := s.Pool().Stats()
+	i := 0
+	const runs = 1000
+	a := testing.AllocsPerRun(runs, func() {
+		if _, err := s.Get(ids[i%len(ids)]); err != nil { // 64 pages round-robin over 8 frames: every Get misses
+			t.Fatal(err)
+		}
+		i++
+	})
+	if after := s.Pool().Stats(); after.Misses-before.Misses < runs {
+		t.Fatalf("only %d of %d Gets missed; the test is vacuous", after.Misses-before.Misses, runs)
+	}
+	if a > 3 {
+		t.Fatalf("PagedStore.Get of a non-resident page allocates %v times, want ≤ 3", a)
+	}
+}
+
+// BenchmarkPagedGetParallel reads random resident pages through the
+// pool from every P at once. A hit takes no lock and pins nothing, so
+// ns/op should not rise with -cpu (run with -cpu 1,2,4).
+func BenchmarkPagedGetParallel(b *testing.B) {
+	const pages = 8192
+	s, ids := newPooledStore(b, 2*pages, pages)
+	defer s.Close()
+	var seed atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		x := seed.Add(1) * 0x9E3779B97F4A7C15
+		for pb.Next() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			if _, err := s.Get(ids[x%pages]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

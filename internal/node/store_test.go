@@ -35,6 +35,17 @@ func storeFactories(t *testing.T) map[string]func() Store {
 			}
 			return s
 		},
+		"paged-pool": func() Store {
+			fs, err := storage.NewFileStore(filepath.Join(t.TempDir(), "p.db"), 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewPagedStore(storage.NewBufferPool(fs, 4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
 	}
 }
 

@@ -117,7 +117,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		poolGauge("resident_frames", "pages currently resident", func(i int) int { return ss[i].Pool.Resident })
 		poolGauge("capacity_frames", "frame budget", func(i int) int { return ss[i].Pool.Capacity })
 		poolGauge("pinned_frames", "frames currently pinned", func(i int) int { return ss[i].Pool.Pinned })
-		poolGauge("pinned_high_water", "max simultaneously pinned frames", func(i int) int { return ss[i].Pool.PinnedHighWater })
+		poolGauge("pinned_high_water", "most frames the pool has seen pinned at once", func(i int) int { return ss[i].Pool.PinnedHighWater })
 	}
 
 	// Replication: this server's role plus one lag gauge per live

@@ -51,8 +51,9 @@ type Options struct {
 	CompressorWorkers int
 	// Path, when non-empty, stores nodes in a file at this path through
 	// the page codec instead of in memory. PageSize (default 4096) and
-	// CachePages (default 1024, LRU buffer pool; 0 disables caching)
-	// control the paged store.
+	// CachePages (frames of the clock-eviction buffer pool; 0 means the
+	// default 1024, a negative value no pool at all) control the paged
+	// store.
 	Path       string
 	PageSize   int
 	CachePages int

@@ -1,218 +1,266 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
+	"unsafe"
 
 	"blinktree/internal/base"
+	"blinktree/internal/pagedir"
 )
+
+// ExhaustedAfter is how long a Pin that finds every frame pinned waits
+// for an Unpin before it fails with the "exhausted" error. Pins span a
+// decode, an encode or one page transfer, so a wait this long means a
+// pin was leaked, and an error is more useful than a hang.
+const ExhaustedAfter = 5 * time.Second
 
 // BufferPool is a bounded write-back page cache layered over another
 // Store — the disk-native serving path. It keeps at most capacity page
-// frames resident, evicts in LRU order skipping pinned frames, and
-// writes dirty frames back to the underlying store before their frame
-// is reused, so every page is always either resident or re-fetchable.
+// frames resident, evicts by the clock (second-chance) policy skipping
+// pinned frames, and writes a dirty frame back before the frame is
+// reused, so every page is always either resident or re-fetchable.
 //
-// Two access regimes share the pool:
-//
-//   - The Store methods (Read/Write) copy whole pages in and out,
-//     preserving the per-page atomicity contract for callers that treat
-//     the pool as just another Store.
-//   - Pin/Unpin hands out *Frame handles for zero-copy access: the node
-//     layer pins a frame, takes its latch, decodes or encodes in place,
-//     and unpins. A pinned frame is never evicted, which is what makes
-//     in-place access safe against frame reuse.
-//
-// See doc.go for the full pin/unpin + eviction contract and how it
-// composes with the §5.3 reclamation epochs above.
+// The Store methods (Read/Write) copy whole pages in and out. Pin/Unpin
+// hand out *Frame handles for zero-copy access, and Peek finds a
+// resident frame without pinning it. There is no pool-wide lock: a
+// lookup indexes the page directory and writes the frame it finds (Pin)
+// or one striped counter (Peek+Touch); a miss claims one victim frame
+// and does its page transfers under that frame's latch only. doc.go has
+// the protocol in full.
 type BufferPool struct {
-	under    Store
-	capacity int
+	// Set at construction, written once (closed, crashed) or only around
+	// an exhaustion wait (waiters): the lines a hit reads.
+	under          Store
+	pageSize       int
+	capacity       int
+	exhaustedAfter time.Duration
+	frames         []atomic.Pointer[Frame] // the clock; [:nframes] exist
+	table          pagedir.Dir[pageSlot]
+	closed         atomic.Bool
+	crashed        atomic.Bool // severed from under; see Crash
+	waiters        atomic.Int32
 
-	mu      sync.Mutex
-	frames  map[base.PageID]*list.Element // -> *Frame
-	lru     *list.List                    // front = most recent
-	closed  bool
-	crashed bool  // severed from under; see Crash
-	freeErr error // first failure of a Free deferred past a pin
+	_ [64]byte // what follows is written by every miss
 
-	hits, misses, evictions, writebacks uint64
-	pinned                              int
-	pinnedHighWater                     int
+	nframes         atomic.Int32
+	hand            atomic.Uint32
+	evictions       atomic.Uint64
+	writebacks      atomic.Uint64
+	pinnedHighWater atomic.Int64
+	prefetches      atomic.Uint64
+	prefetchLoads   atomic.Uint64
 
-	prefetchCh    chan base.PageID
-	prefetchQuit  chan struct{}
-	prefetchDone  chan struct{}
-	prefetches    atomic.Uint64
-	prefetchLoads atomic.Uint64
+	mu      sync.Mutex // serialises nothing but the wait for a frame
+	freed   sync.Cond  // a frame may have become claimable; L is &mu
+	freeErr error      // first failure of a Free deferred past a pin
+
+	// touches counts pinless hits (Pin counts on the frame it has just
+	// written anyway), striped by frame so no line takes them all.
+	touches [8]struct {
+		hits atomic.Uint64
+		_    [56]byte
+	}
+
+	prefetchCh   chan base.PageID
+	prefetchQuit chan struct{}
+	prefetchDone chan struct{}
 }
 
-// Frame is one resident page. The pool owns the frame's identity (id,
-// pin count, dirty bit, LRU position); the holder of a pin owns access
-// to its bytes through the latch: RLock to read or decode, Lock to
-// mutate or encode. Latch only while pinned, and release the latch
-// before Unpin — the pool takes latches during Flush and takes none
-// during eviction (eviction requires a zero pin count, which already
-// excludes latch holders).
+var errCrashed = fmt.Errorf("storage: buffer pool crashed: %w", base.ErrClosed)
+
+// pageSlot is a page's entry in the directory.
+type pageSlot struct {
+	// frame holds the page or is being loaded with it; nil when the
+	// page is not resident. Storing it from nil elects a page's loader.
+	frame atomic.Pointer[Frame]
+	// live: the page is known to be allocated underneath (Allocate and
+	// a successful fault-in set it, Free clears it), so an overwrite
+	// need not read it first to learn that it exists.
+	live atomic.Bool
+}
+
+// A frame's state word is its pin count, or the count with doomed set,
+// or claimed.
+const (
+	pinMask = 1<<24 - 1
+	// doomed: Free found the frame pinned. The page is unmapped and
+	// nobody new may pin; the last Unpin empties the frame and runs the
+	// underlying Free.
+	doomed = 1 << 24
+	// claimed: one goroutine owns the frame — an evictor loading a page
+	// into it, or Free emptying it. Only a zero state can be claimed.
+	claimed = -1 << 30
+)
+
+// Frame is one page buffer of the pool, recycled from page to page for
+// the pool's whole life. Who may write what:
+//
+//   - state: pinners add to the count by compare-and-swap and Unpin
+//     subtracts, while it is not claimed.
+//   - id and the directory mapping change only under a claim with the
+//     latch held exclusively: a pin fixes them, and so does the latch.
+//   - data belongs to pin holders under the latch: RLock to read or
+//     decode, Lock to mutate or encode, MarkDirty after mutating,
+//     unlatch before Unpin. The pool latches without a pin only to
+//     write the bytes back (shared) or on a frame it has claimed.
+//   - ref, dirty, obj, hits and misses are atomic words anyone may set.
 type Frame struct {
-	id     base.PageID
-	data   []byte
-	pins   int  // guarded by pool.mu
-	doomed bool // guarded by pool.mu; Free arrived while pinned
+	state  atomic.Int32
+	id     atomic.Uint32 // base.PageID; NilPage when the frame holds no page
+	ref    atomic.Bool   // the clock's second chance
 	dirty  atomic.Bool
+	hits   atomic.Uint64  // lookups Pin served from this frame, ever
+	obj    unsafe.Pointer // see CachedObject
 	latch  sync.RWMutex
-	// obj caches the decoded object (a *node.Node above) for the bytes
-	// in data. Set it only while holding the latch in either mode, so a
-	// cached object can never outlive the page image it was decoded
-	// from; a raw Write through the Store interface clears it.
-	obj atomic.Pointer[any]
+	data   []byte
+	misses atomic.Uint64
+	// The last failed load into this frame, for those who waited on the
+	// latch for that page. Guarded by the latch.
+	errID base.PageID
+	err   error
+
+	_ [16]byte // to 128 bytes on 64-bit targets: one frame, its own cache lines
 }
 
 // ID returns the page this frame holds.
-func (f *Frame) ID() base.PageID { return f.id }
+func (f *Frame) ID() base.PageID { return base.PageID(f.id.Load()) }
 
 // Data returns the frame's page image. Access it only while pinned and
 // holding the latch (RLock to read, Lock to write).
 func (f *Frame) Data() []byte { return f.data }
 
-// Lock takes the frame latch exclusively (for in-place encodes).
-func (f *Frame) Lock() { f.latch.Lock() }
-
-// Unlock releases the exclusive latch.
-func (f *Frame) Unlock() { f.latch.Unlock() }
-
-// RLock takes the frame latch shared (for reads and decodes).
-func (f *Frame) RLock() { f.latch.RLock() }
-
-// RUnlock releases the shared latch.
+// Lock and Unlock take and release the frame latch exclusively (for
+// in-place encodes), RLock and RUnlock shared (for reads and decodes).
+func (f *Frame) Lock()    { f.latch.Lock() }
+func (f *Frame) Unlock()  { f.latch.Unlock() }
+func (f *Frame) RLock()   { f.latch.RLock() }
 func (f *Frame) RUnlock() { f.latch.RUnlock() }
 
 // MarkDirty records that Data was mutated, scheduling write-back on
 // eviction or Flush. Call while holding the exclusive latch.
 func (f *Frame) MarkDirty() { f.dirty.Store(true) }
 
-// CachedObject returns the decoded object cached for this frame's
-// current content, or nil. Call while pinned.
-func (f *Frame) CachedObject() any {
-	if p := f.obj.Load(); p != nil {
-		return *p
+// CachedObject returns the decoded object cached on f, or nil. T must
+// be the one type the pool's user caches: the frame holds the pointer
+// untyped, since storage cannot name the node type above it. Under a
+// pin the object describes the pinned page. On a frame from Peek it may
+// be another page's by now — the caller checks what the object says.
+func CachedObject[T any](f *Frame) *T { return (*T)(atomic.LoadPointer(&f.obj)) }
+
+// SetCachedObject caches the decoded object for the frame's current
+// content. Call only while pinned and holding the latch (either mode),
+// right after decoding from or encoding into Data, so the object can
+// never describe bytes other than the frame's.
+func SetCachedObject[T any](f *Frame, v *T) { atomic.StorePointer(&f.obj, unsafe.Pointer(v)) }
+
+func (f *Frame) clearCachedObject() { atomic.StorePointer(&f.obj, nil) }
+
+// settled waits until the goroutine that claimed f lets go of its
+// latch, and returns that claim's error if it was a failed load of id.
+func (f *Frame) settled(id base.PageID) error {
+	f.latch.RLock()
+	defer f.latch.RUnlock()
+	if f.errID == id {
+		return f.err
 	}
 	return nil
 }
 
-// SetCachedObject caches the decoded object for the frame's current
-// content. Call only while pinned and holding the latch (either mode),
-// immediately after decoding from or encoding into Data.
-func (f *Frame) SetCachedObject(v any) { f.obj.Store(&v) }
-
-// clearCachedObject drops the cached object (raw byte writes).
-func (f *Frame) clearCachedObject() { f.obj.Store(nil) }
-
 // NewBufferPool wraps under with a bounded pool of capacity page
-// frames (minimum 4) and starts its read-ahead worker.
+// frames (minimum 4) and starts its read-ahead worker. Frames and their
+// buffers are created as misses first need them, so a pool larger than
+// the data set costs only the data set.
 func NewBufferPool(under Store, capacity int) *BufferPool {
 	if capacity < 4 {
 		capacity = 4
 	}
 	p := &BufferPool{
-		under:        under,
-		capacity:     capacity,
-		frames:       make(map[base.PageID]*list.Element, capacity),
-		lru:          list.New(),
-		prefetchCh:   make(chan base.PageID, 64),
-		prefetchQuit: make(chan struct{}),
-		prefetchDone: make(chan struct{}),
+		under:          under,
+		pageSize:       under.PageSize(),
+		capacity:       capacity,
+		exhaustedAfter: ExhaustedAfter,
+		frames:         make([]atomic.Pointer[Frame], capacity),
+		prefetchCh:     make(chan base.PageID, 64), // hints a scan may run ahead of the worker; more are dropped
+		prefetchQuit:   make(chan struct{}),
+		prefetchDone:   make(chan struct{}),
 	}
+	p.freed.L = &p.mu
 	go p.prefetcher()
 	return p
 }
 
 // PageSize implements Store.
-func (p *BufferPool) PageSize() int { return p.under.PageSize() }
-
-// Capacity returns the frame budget.
-func (p *BufferPool) Capacity() int { return p.capacity }
-
-// frameFor returns the frame for id, faulting it in (and possibly
-// evicting an unpinned frame) on a miss. Caller holds p.mu.
-func (p *BufferPool) frameFor(id base.PageID) (*Frame, error) {
-	if el, ok := p.frames[id]; ok {
-		p.hits++
-		p.lru.MoveToFront(el)
-		return el.Value.(*Frame), nil
-	}
-	p.misses++
-	if p.crashed {
-		return nil, fmt.Errorf("storage: buffer pool crashed: %w", base.ErrClosed)
-	}
-	if err := p.evictIfFull(); err != nil {
-		return nil, err
-	}
-	fr := &Frame{id: id, data: make([]byte, p.under.PageSize())}
-	if err := p.under.Read(id, fr.data); err != nil {
-		return nil, err
-	}
-	p.frames[id] = p.lru.PushFront(fr)
-	return fr, nil
-}
-
-// evictIfFull writes back and drops least-recently-used unpinned
-// frames until a frame slot is free. Pinned frames are skipped: a pin
-// is the promise that someone is using the frame's bytes in place.
-// Caller holds p.mu.
-func (p *BufferPool) evictIfFull() error {
-	for p.lru.Len() >= p.capacity {
-		var victim *list.Element
-		for el := p.lru.Back(); el != nil; el = el.Prev() {
-			if el.Value.(*Frame).pins == 0 {
-				victim = el
-				break
-			}
-		}
-		if victim == nil {
-			return fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned", p.capacity)
-		}
-		fr := victim.Value.(*Frame)
-		// pins == 0 and we hold p.mu, so no latch holder exists and none
-		// can appear: the frame's bytes are safe to write back directly.
-		if fr.dirty.Load() && !p.crashed {
-			if err := p.under.Write(fr.id, fr.data); err != nil {
-				return fmt.Errorf("storage: writeback page %d: %w", fr.id, err)
-			}
-			fr.dirty.Store(false)
-			p.writebacks++
-		}
-		p.lru.Remove(victim)
-		delete(p.frames, fr.id)
-		p.evictions++
-	}
-	return nil
-}
+func (p *BufferPool) PageSize() int { return p.pageSize }
 
 // Pin returns the frame holding id, faulting it in on a miss, and
-// guarantees the frame stays resident until the matching Unpin. Every
-// Pin must be paired with exactly one Unpin.
-func (p *BufferPool) Pin(id base.PageID) (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, base.ErrClosed
-	}
-	fr, err := p.frameFor(id)
-	if err != nil {
-		return nil, err
-	}
-	if fr.pins == 0 {
-		p.pinned++
-		if p.pinned > p.pinnedHighWater {
-			p.pinnedHighWater = p.pinned
+// guarantees the frame stays resident and bound to id until the
+// matching Unpin. Every Pin must be paired with exactly one Unpin. When
+// every frame is pinned Pin waits for an Unpin, up to ExhaustedAfter.
+func (p *BufferPool) Pin(id base.PageID) (*Frame, error) { return p.pin(id, false) }
+
+// PinOverwrite is Pin for a caller about to replace the whole page: the
+// frame comes back pinned with its latch held exclusively, and a miss
+// does not read the page it is about to lose, so Data is unspecified.
+// The caller fills all of Data, then MarkDirty, Unlock and Unpin.
+func (p *BufferPool) PinOverwrite(id base.PageID) (*Frame, error) { return p.pin(id, true) }
+
+func (p *BufferPool) pin(id base.PageID, overwrite bool) (*Frame, error) {
+	missed := false
+	for {
+		if p.closed.Load() {
+			return nil, base.ErrClosed
+		}
+		slot := p.table.At(id)
+		var fr *Frame
+		if slot != nil {
+			fr = slot.frame.Load()
+		}
+		if fr == nil {
+			missed = true
+			fr, err := p.load(id, slot, overwrite, true)
+			if fr == nil && err == nil {
+				continue // another goroutine mapped id first
+			}
+			if fr != nil {
+				fr.misses.Add(1)
+			}
+			return fr, err
+		}
+		switch s := fr.state.Load(); {
+		case s < 0:
+			// Being loaded, evicted or emptied; the claimant holds the
+			// latch until it is done. Then look again.
+			if err := fr.settled(id); err != nil {
+				return nil, err
+			}
+			missed = true
+		case s&doomed != 0:
+			// Free is unmapping the page this instant.
+		case fr.state.CompareAndSwap(s, s+1):
+			// The frame may have been recycled between the directory
+			// load and the increment. The pin now fixes its id: check it.
+			if fr.ID() != id {
+				p.Unpin(fr)
+				continue
+			}
+			if missed {
+				fr.misses.Add(1)
+			} else {
+				fr.hits.Add(1)
+			}
+			if !fr.ref.Load() {
+				fr.ref.Store(true)
+			}
+			if overwrite {
+				fr.latch.Lock()
+			}
+			return fr, nil
 		}
 	}
-	fr.pins++
-	return fr, nil
 }
 
 // Unpin releases one pin on fr. Unpinning a frame that holds no pin —
@@ -220,25 +268,236 @@ func (p *BufferPool) Pin(id base.PageID) (*Frame, error) {
 // caller bug that would let the pool evict a frame still in use, so it
 // panics rather than corrupting silently.
 func (p *BufferPool) Unpin(fr *Frame) {
+	if err := p.unpin(fr); err != nil {
+		p.mu.Lock()
+		if p.freeErr == nil {
+			p.freeErr = err
+		}
+		p.mu.Unlock()
+	}
+}
+
+// unpin is Unpin, returning the error of the deferred Free it ran, if
+// fr was doomed and this was its last pin.
+func (p *BufferPool) unpin(fr *Frame) error {
+	s := fr.state.Add(-1)
+	if s < 0 || s&pinMask == pinMask {
+		fr.state.Add(1)
+		panic(fmt.Sprintf("storage: unpin of page %d with no outstanding pin", fr.ID()))
+	}
+	if s == doomed {
+		// Nobody can pin or claim a doomed frame: it is ours to empty.
+		id := fr.ID()
+		fr.state.Store(claimed)
+		fr.latch.Lock()
+		p.empty(fr)
+		if !p.crashed.Load() {
+			return p.under.Free(id)
+		}
+	} else if s == 0 && p.waiters.Load() > 0 {
+		p.wake()
+	}
+	return nil
+}
+
+// Peek returns the frame that holds id without pinning it, or nil. The
+// frame can be recycled for another page at any moment, so all a caller
+// may do with it is load its cached object, check that the object is
+// page id's, and report the hit with Touch.
+func (p *BufferPool) Peek(id base.PageID) *Frame {
+	if slot := p.table.At(id); slot != nil {
+		return slot.frame.Load()
+	}
+	return nil
+}
+
+// Touch records a lookup that fr's cached object served without a pin:
+// it counts a hit and gives the frame its second chance — writing the
+// reference bit only when it is clear, so a hot page's frame stays a
+// line nothing writes.
+func (p *BufferPool) Touch(fr *Frame) {
+	if !fr.ref.Load() {
+		fr.ref.Store(true)
+	}
+	// Frames are 128 bytes apart: these are the bits that tell them apart.
+	p.touches[(uintptr(unsafe.Pointer(fr))>>7)%uintptr(len(p.touches))].hits.Add(1)
+}
+
+// load claims a frame, maps id to it and fills it from the store — or
+// leaves that to the caller, when overwrite is set and the page is
+// known to exist. A demand load waits for a frame if all are pinned and
+// returns the frame pinned once, still latched exclusively if
+// overwrite. A read-ahead load (!demand) gives up with (nil, nil) when
+// no frame can be claimed now, and leaves the page unpinned. Both
+// return (nil, nil) when another goroutine mapped id first. The page
+// transfers run under the claimed frame's latch and no other lock.
+func (p *BufferPool) load(id base.PageID, slot *pageSlot, overwrite, demand bool) (*Frame, error) {
+	if slot == nil {
+		// No Allocate of this pool handed id out: the store vouches for
+		// the page before the directory grows to it.
+		if err := p.under.Read(id, make([]byte, p.pageSize)); err != nil {
+			return nil, err
+		}
+		slot = p.table.Ensure(id)
+	}
+	fr, err := p.victim(demand)
+	if fr == nil {
+		return nil, err
+	}
+	fr.latch.Lock()
+	if p.crashed.Load() {
+		p.release(fr)
+		return nil, errCrashed
+	}
+	if !slot.frame.CompareAndSwap(nil, fr) {
+		p.release(fr) // untouched: it still holds its page
+		return nil, nil
+	}
+	// Waiters for id now queue on the latch. The victim's page stays
+	// mapped to this frame until its bytes have landed, so nobody can
+	// fault the stale image back in from the store.
+	if old := fr.ID(); old != base.NilPage {
+		if fr.dirty.Load() {
+			if err := p.under.Write(old, fr.data); err != nil {
+				slot.frame.Store(nil)
+				p.release(fr)
+				return nil, fmt.Errorf("storage: writeback page %d: %w", old, err)
+			}
+			fr.dirty.Store(false)
+			p.writebacks.Add(1)
+		}
+		// The cached object goes before the mapping: once the page can
+		// be resident elsewhere, no Peek may find its old object here.
+		fr.clearCachedObject()
+		p.table.At(old).frame.CompareAndSwap(fr, nil)
+		p.evictions.Add(1)
+	}
+	fr.errID, fr.err = base.NilPage, nil
+	fr.id.Store(uint32(id))
+	if !overwrite || !slot.live.Load() {
+		if err := p.under.Read(id, fr.data); err != nil {
+			fr.errID, fr.err = id, err
+			slot.frame.Store(nil)
+			p.empty(fr)
+			return nil, err
+		}
+		slot.live.Store(true)
+	}
+	fr.ref.Store(false) // a second chance is earned by a hit, not by arriving
+	if !demand {
+		p.release(fr)
+		return fr, nil
+	}
+	fr.state.Store(1)
+	if !overwrite {
+		fr.latch.Unlock()
+	}
+	return fr, nil
+}
+
+// victim claims a frame for a load. When every frame is pinned it
+// returns nil if !wait, and otherwise blocks until an Unpin frees one,
+// the pool closes, or exhaustedAfter passes.
+func (p *BufferPool) victim(wait bool) (*Frame, error) {
+	if fr := p.sweep(); fr != nil || !wait {
+		return fr, nil
+	}
+	deadline := time.Now().Add(p.exhaustedAfter)
+	timer := time.AfterFunc(p.exhaustedAfter, p.wake)
+	defer timer.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fr.pins <= 0 {
-		panic(fmt.Sprintf("storage: unpin of page %d with no outstanding pin", fr.id))
+	// Registering before the sweep below is what makes the wait safe:
+	// an Unpin either sees the waiter, or its frame is seen by the sweep.
+	p.waiters.Add(1)
+	defer p.waiters.Add(-1)
+	for {
+		if p.closed.Load() {
+			return nil, base.ErrClosed
+		}
+		if fr := p.sweep(); fr != nil {
+			return fr, nil
+		}
+		if !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("storage: buffer pool exhausted: all %d frames pinned for %v", p.capacity, p.exhaustedAfter)
+		}
+		p.freed.Wait()
 	}
-	fr.pins--
-	if fr.pins == 0 {
-		p.pinned--
-		// A Free that raced this pin was deferred to us (see Free); run
-		// the underlying free now that the last user is gone.
-		if fr.doomed {
-			fr.doomed = false
-			if !p.crashed {
-				if err := p.under.Free(fr.id); err != nil && p.freeErr == nil {
-					p.freeErr = err
-				}
-			}
+}
+
+func (p *BufferPool) wake() {
+	p.mu.Lock()
+	p.freed.Broadcast()
+	p.mu.Unlock()
+}
+
+// sweep claims a frame — a new one while the pool is below capacity,
+// else the clock's choice — or reports that a whole turn of the hand
+// met none unpinned. A frame hit since the hand last passed gets a
+// second chance, for two turns: hits cannot hold the hand off for ever.
+// The pinned frames one turn passes feed the high-water mark.
+func (p *BufferPool) sweep() *Frame {
+	for n := p.nframes.Load(); int(n) < p.capacity; n = p.nframes.Load() {
+		if p.nframes.CompareAndSwap(n, n+1) {
+			fr := &Frame{data: make([]byte, p.pageSize)}
+			fr.state.Store(claimed)
+			p.frames[n].Store(fr)
+			return fr
 		}
 	}
+	for turn := 0; ; turn++ {
+		pinned, unpinned := 0, false
+		for i := 0; i < p.capacity; i++ {
+			fr := p.frames[p.hand.Add(1)%uint32(p.capacity)].Load()
+			if fr == nil {
+				continue
+			}
+			if s := fr.state.Load(); s != 0 {
+				if s > 0 {
+					pinned++
+				}
+				continue
+			}
+			unpinned = true
+			if turn < 2 && fr.ref.Load() {
+				fr.ref.Store(false)
+			} else if fr.state.CompareAndSwap(0, claimed) {
+				p.notePinned(pinned + 1) // and this one, about to be
+				return fr
+			}
+		}
+		p.notePinned(pinned)
+		if !unpinned {
+			return nil
+		}
+	}
+}
+
+// notePinned raises the high-water mark to n frames seen pinned.
+func (p *BufferPool) notePinned(n int) {
+	for hw := p.pinnedHighWater.Load(); int64(n) > hw && !p.pinnedHighWater.CompareAndSwap(hw, int64(n)); {
+		hw = p.pinnedHighWater.Load()
+	}
+}
+
+// release gives up a claimed, latched frame as it stands.
+func (p *BufferPool) release(fr *Frame) {
+	fr.state.Store(0)
+	fr.latch.Unlock()
+	if p.waiters.Load() > 0 {
+		p.wake()
+	}
+}
+
+// empty releases a claimed, latched frame whose content is dead (a
+// freed page, a failed load): nothing is written back. The caller has
+// unmapped it.
+func (p *BufferPool) empty(fr *Frame) {
+	fr.clearCachedObject()
+	fr.id.Store(uint32(base.NilPage))
+	fr.dirty.Store(false)
+	fr.ref.Store(false)
+	p.release(fr)
 }
 
 // Prefetch schedules a best-effort asynchronous fault-in of id, so a
@@ -254,7 +513,9 @@ func (p *BufferPool) Prefetch(id base.PageID) {
 	}
 }
 
-// prefetcher drains the read-ahead queue, faulting pages in unpinned.
+// prefetcher drains the read-ahead queue through the load path a
+// demand miss takes, except that it neither waits for a frame — a hint
+// is not worth more than a pinned page — nor pins the one it fills.
 func (p *BufferPool) prefetcher() {
 	defer close(p.prefetchDone)
 	for {
@@ -262,25 +523,19 @@ func (p *BufferPool) prefetcher() {
 		case <-p.prefetchQuit:
 			return
 		case id := <-p.prefetchCh:
-			p.mu.Lock()
-			if !p.closed {
-				if _, ok := p.frames[id]; !ok {
-					if _, err := p.frameFor(id); err == nil {
-						p.prefetchLoads.Add(1)
-						// frameFor counted the fault as a demand miss;
-						// a satisfied prefetch is the opposite of one.
-						p.misses--
-					}
-				}
+			if p.closed.Load() || p.Peek(id) != nil {
+				continue
 			}
-			p.mu.Unlock()
+			if fr, _ := p.load(id, p.table.At(id), false, false); fr != nil {
+				p.prefetchLoads.Add(1)
+			}
 		}
 	}
 }
 
 // Read implements Store.
 func (p *BufferPool) Read(id base.PageID, buf []byte) error {
-	if err := checkBuf(p.under.PageSize(), buf); err != nil {
+	if err := checkBuf(p.pageSize, buf); err != nil {
 		return err
 	}
 	fr, err := p.Pin(id)
@@ -296,16 +551,13 @@ func (p *BufferPool) Read(id base.PageID, buf []byte) error {
 
 // Write implements Store.
 func (p *BufferPool) Write(id base.PageID, buf []byte) error {
-	if err := checkBuf(p.under.PageSize(), buf); err != nil {
+	if err := checkBuf(p.pageSize, buf); err != nil {
 		return err
 	}
-	// The miss path faults the page in even though we overwrite it
-	// whole: the read validates that id is allocated underneath.
-	fr, err := p.Pin(id)
+	fr, err := p.PinOverwrite(id)
 	if err != nil {
 		return err
 	}
-	fr.Lock()
 	copy(fr.data, buf)
 	fr.clearCachedObject()
 	fr.MarkDirty()
@@ -316,13 +568,14 @@ func (p *BufferPool) Write(id base.PageID, buf []byte) error {
 
 // Allocate implements Store.
 func (p *BufferPool) Allocate() (base.PageID, error) {
-	p.mu.Lock()
-	if p.crashed {
-		p.mu.Unlock()
-		return 0, fmt.Errorf("storage: buffer pool crashed: %w", base.ErrClosed)
+	if p.crashed.Load() {
+		return base.NilPage, errCrashed
 	}
-	p.mu.Unlock()
-	return p.under.Allocate()
+	id, err := p.under.Allocate()
+	if err == nil {
+		p.table.Ensure(id).live.Store(true)
+	}
+	return id, err
 }
 
 // Crash severs the pool from its underlying store for crash-injection
@@ -334,72 +587,92 @@ func (p *BufferPool) Allocate() (base.PageID, error) {
 // since reopened — a disk corruption no real kill can produce, since a
 // dead process writes nothing.
 func (p *BufferPool) Crash() {
-	p.mu.Lock()
-	p.crashed = true
-	p.mu.Unlock()
+	p.crashed.Store(true)
+	// Page transfers run under a frame latch and check crashed under
+	// it: passing through every latch waits out the ones in flight.
+	// Nothing will be written back any more, so nothing is dirty.
+	for i := range p.frames[:p.nframes.Load()] {
+		if fr := p.frames[i].Load(); fr != nil {
+			fr.latch.Lock()
+			fr.dirty.Store(false)
+			fr.latch.Unlock()
+		}
+	}
 }
 
 // Free implements Store. The cached frame, if any, is dropped without
 // write-back since the page's content is dead. Above the pool, the
 // reclamation epochs (§5.3) delay Free past every tree operation that
-// could still reach the page — but the read-ahead worker pins outside
-// those epochs (a hint can outlive the page it names), so a Free that
-// finds the frame pinned marks it doomed and defers the underlying
-// free to the last Unpin instead of failing.
+// could still reach the page, so Free normally finds the frame
+// unpinned; it must not fail on one that is not. Free pins the frame
+// itself — which, as for any pinner, is what makes sure of the page it
+// holds — marks it doomed, unmaps it and unpins: the underlying free
+// runs at the last Unpin, Free's own unless someone else holds a pin. A
+// frame found claimed — the read-ahead worker works outside the epochs,
+// and a hint can outlive the page it names — is waited for first.
 func (p *BufferPool) Free(id base.PageID) error {
-	p.mu.Lock()
-	if el, ok := p.frames[id]; ok {
-		fr := el.Value.(*Frame)
-		p.lru.Remove(el)
-		delete(p.frames, id)
-		fr.dirty.Store(false)
-		fr.clearCachedObject()
-		if fr.pins > 0 {
-			fr.doomed = true
-			p.mu.Unlock()
-			return nil
+	if slot := p.table.At(id); slot != nil {
+		slot.live.Store(false)
+		for fr := slot.frame.Load(); fr != nil; fr = slot.frame.Load() {
+			s := fr.state.Load()
+			if s < 0 {
+				// A failed load of id leaves nothing here to drop; the
+				// store's own answer to the Free below is the news.
+				_ = fr.settled(id)
+			} else if s&doomed == 0 && fr.state.CompareAndSwap(s, s+1) {
+				if fr.ID() == id {
+					fr.state.Or(doomed)
+					fr.dirty.Store(false)
+					fr.clearCachedObject()
+					slot.frame.CompareAndSwap(fr, nil)
+					return p.unpin(fr)
+				}
+				p.Unpin(fr) // recycled for another page before the pin
+			}
 		}
 	}
-	if p.crashed {
-		p.mu.Unlock()
+	if p.crashed.Load() {
 		return nil
 	}
-	p.mu.Unlock()
 	return p.under.Free(id)
 }
 
 // Pages implements Store.
 func (p *BufferPool) Pages() int { return p.under.Pages() }
 
-// Flush writes every dirty frame back to the underlying store. Frames
-// pinned by concurrent users are written under their latch, so an
-// in-flight encode either lands wholly before or wholly after the
-// flush of its frame.
+// Flush writes every dirty frame back to the underlying store, each
+// under its latch held shared, so an in-flight encode either lands
+// wholly before or wholly after the flush of its frame.
 func (p *BufferPool) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.flushLocked()
-}
-
-func (p *BufferPool) flushLocked() error {
-	if p.crashed {
-		return fmt.Errorf("storage: buffer pool crashed: %w", base.ErrClosed)
+	if p.crashed.Load() {
+		return errCrashed
 	}
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		fr := el.Value.(*Frame)
-		fr.RLock()
-		// Swap-before-write keeps a dirty mark set after our copy: a
-		// later mutator re-dirties and a later flush rewrites.
-		if fr.dirty.Swap(false) {
-			if err := p.under.Write(fr.id, fr.data); err != nil {
-				fr.dirty.Store(true)
-				fr.RUnlock()
+	for i := range p.frames[:p.nframes.Load()] {
+		if fr := p.frames[i].Load(); fr != nil {
+			if err := p.flushFrame(fr); err != nil {
 				return err
 			}
-			p.writebacks++
 		}
-		fr.RUnlock()
 	}
+	return nil
+}
+
+func (p *BufferPool) flushFrame(fr *Frame) error {
+	fr.latch.RLock()
+	defer fr.latch.RUnlock()
+	if p.crashed.Load() {
+		return errCrashed
+	}
+	// Swap-before-write keeps a dirty mark set after our copy: a
+	// later mutator re-dirties and a later flush rewrites.
+	if !fr.dirty.Swap(false) {
+		return nil
+	}
+	if err := p.under.Write(fr.ID(), fr.data); err != nil {
+		fr.dirty.Store(true)
+		return err
+	}
+	p.writebacks.Add(1)
 	return nil
 }
 
@@ -408,23 +681,22 @@ func (p *BufferPool) flushLocked() error {
 // means some caller lost track of a Pin, the accounting bug that would
 // eventually wedge eviction.
 func (p *BufferPool) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
+	if p.closed.Swap(true) {
 		return nil
 	}
-	p.closed = true
-	var leaked []base.PageID
-	for el := p.lru.Front(); el != nil; el = el.Next() {
-		if fr := el.Value.(*Frame); fr.pins > 0 {
-			leaked = append(leaked, fr.id)
-		}
-	}
-	ferr := p.flushLocked()
-	deferredErr := p.freeErr
-	p.mu.Unlock()
+	p.wake()
 	close(p.prefetchQuit)
 	<-p.prefetchDone
+	var leaked []base.PageID
+	for i := range p.frames[:p.nframes.Load()] {
+		if fr := p.frames[i].Load(); fr != nil && fr.state.Load()&pinMask > 0 {
+			leaked = append(leaked, fr.ID())
+		}
+	}
+	ferr := p.Flush()
+	p.mu.Lock()
+	deferredErr := p.freeErr
+	p.mu.Unlock()
 	if err := p.under.Close(); err != nil {
 		return err
 	}
@@ -441,10 +713,16 @@ func (p *BufferPool) Close() error {
 	return nil
 }
 
-// PoolStats is a snapshot of cache behaviour. Hits/Misses count demand
-// lookups (a satisfied prefetch later re-counted as a hit); Prefetches
-// counts hints issued and PrefetchLoads the pages actually faulted in
-// by read-ahead; Pinned/PinnedHighWater track the pin discipline.
+// PoolStats is a snapshot of cache behaviour. Hits and Misses count
+// demand lookups: a hit is one a resident frame served, through a Pin
+// or, pinless, through Peek and Touch; a miss is one that waited for a
+// page transfer, its own or another goroutine's for the same page.
+// Read-ahead is counted apart: Prefetches is hints issued and
+// PrefetchLoads the pages it faulted in (a later demand lookup of one
+// is a hit). Pinned is the frames pinned now. PinnedHighWater is the
+// most the pool has seen in use at once, at the moments it looks: every
+// search for a victim counts the pinned frames one turn of the clock
+// passes plus the one it claims, and Stats counts all that are pinned.
 type PoolStats struct {
 	Hits, Misses, Evictions, Writebacks uint64
 	Prefetches, PrefetchLoads           uint64
@@ -454,20 +732,34 @@ type PoolStats struct {
 	PinnedHighWater                     int
 }
 
-// Stats returns a snapshot of the pool counters.
+// Stats returns a snapshot of the pool counters. It visits every frame.
 func (p *BufferPool) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return PoolStats{
-		Hits: p.hits, Misses: p.misses,
-		Evictions: p.evictions, Writebacks: p.writebacks,
-		Prefetches:      p.prefetches.Load(),
-		PrefetchLoads:   p.prefetchLoads.Load(),
-		Resident:        p.lru.Len(),
-		Capacity:        p.capacity,
-		Pinned:          p.pinned,
-		PinnedHighWater: p.pinnedHighWater,
+	s := PoolStats{
+		Evictions: p.evictions.Load(), Writebacks: p.writebacks.Load(),
+		Prefetches:    p.prefetches.Load(),
+		PrefetchLoads: p.prefetchLoads.Load(),
+		Capacity:      p.capacity,
 	}
+	for i := range p.touches {
+		s.Hits += p.touches[i].hits.Load()
+	}
+	for i := range p.frames[:p.nframes.Load()] {
+		fr := p.frames[i].Load()
+		if fr == nil {
+			continue
+		}
+		s.Hits += fr.hits.Load()
+		s.Misses += fr.misses.Load()
+		if fr.ID() != base.NilPage {
+			s.Resident++
+		}
+		if fr.state.Load()&pinMask > 0 {
+			s.Pinned++
+		}
+	}
+	p.notePinned(s.Pinned)
+	s.PinnedHighWater = int(p.pinnedHighWater.Load())
+	return s
 }
 
 // Merge folds o into s for cross-shard aggregation: counters, resident

@@ -15,12 +15,15 @@
 //     sharded lock — the configuration every in-memory tree and test
 //     uses.
 //   - filestore.go: FileStore maps one page per fixed-size slot of a
-//     single file, the durable deployment.
-//   - bufferpool.go: BufferPool is a bounded LRU write-back cache
-//     wrapped around another Store — the "main memory holds a few
-//     pages at a time" assumption (§2.2) made explicit and enforced.
-//     It is the disk-native serving path: at most Capacity frames
-//     resident, everything else faulted in on demand.
+//     single file, the durable deployment. Which ids are allocated is a
+//     page directory of atomic flags; a Read or Write takes the page's
+//     shard latch and no store-wide lock.
+//   - bufferpool.go: BufferPool is a bounded write-back cache with
+//     clock (second-chance) eviction, wrapped around another Store —
+//     the "main memory holds a few pages at a time" assumption (§2.2)
+//     made explicit and enforced. It is the disk-native serving path:
+//     at most Capacity frames resident, everything else faulted in on
+//     demand.
 //   - wrappers.go: Metered counts operations and Latency injects
 //     artificial per-op delay, used by the experiment harness to
 //     simulate disks.
@@ -34,40 +37,91 @@
 // # Pin/unpin and eviction
 //
 // BufferPool offers two regimes. As a plain Store it copies pages in
-// and out. For zero-copy serving, Pin(id) returns a *Frame whose
-// bytes the caller may read or mutate in place, under these rules:
+// and out. For zero-copy serving, Pin(id) returns a *Frame whose bytes
+// the caller may read or mutate in place. The pool has no lock of its
+// own on either path: everything is decided on the words of one frame
+// and one slot of the page directory (internal/pagedir, page → frame).
 //
-//   - A pinned frame is never evicted and its id-to-frame binding
-//     never changes. Pin and Unpin must pair exactly: unpinning with
-//     no outstanding pin panics (it would license eviction of a frame
-//     someone may still use), and pins still outstanding at Close are
-//     reported as leaks.
-//   - Frame bytes are accessed only while pinned AND holding the
-//     frame latch: RLock to read or decode, Lock to mutate or encode,
-//     MarkDirty after mutating. Release the latch before Unpin.
-//   - A frame's cached decoded object (Frame.SetCachedObject) is set
-//     only while holding the latch, so it can never describe bytes
-//     other than the frame's current content.
-//   - Eviction picks the least-recently-used frame with zero pins,
-//     writes it back first if dirty, and only then reuses the slot —
-//     so every page is at all times either resident or re-fetchable
-//     from the underlying store. Eviction takes no latch: a zero pin
-//     count under the pool lock already excludes latch holders.
-//   - Lock order: the pool's internal lock may be taken, then a frame
-//     latch (Flush does this). Latch holders never call back into the
-//     pool except Unpin after unlatching.
+// Frames are created, each with its page buffer, as misses first need
+// them, up to Capacity, and then recycled from page to page for ever: a
+// steady-state miss allocates nothing. Who may write which word of a
+// frame is on the Frame type; in short, its state word is a pin count
+// or "claimed" (owned by one goroutine that is loading or emptying it),
+// its id and directory mapping change only under a claim with the latch
+// held exclusively, and its bytes belong to pin holders under the latch
+// (RLock to read or decode, Lock to mutate or encode, MarkDirty after
+// mutating, unlatch before Unpin).
 //
-// How this composes with the paper's §5.3 reclamation epochs, one
-// layer up: the tree never holds frame pointers across operations
-// (internal/node decodes into fresh Node values under a short pin),
-// so a lock-free search racing an eviction either finds the page
-// resident or faults it back in — both serve the bytes the last
-// writer put there. A page retired by compression is Freed only after
-// every epoch that could still reach it has exited; the pool drops
-// the frame without write-back at that point. The one actor outside
-// the epochs is the pool's own read-ahead worker (Prefetch), whose
-// stale hints may pin a page as it is being freed — Free therefore
-// defers the underlying free to the last Unpin instead of failing.
+//   - A hit. Pin loads the frame pointer from the directory, adds one
+//     to the state word by compare-and-swap (only from a value that is
+//     not claimed; only a zero can be claimed, so a pinned frame is
+//     never evicted), and then checks that the frame still holds the
+//     page asked for: it could have been recycled between the load and
+//     the increment, and now that it is pinned its id cannot change. A
+//     pinner that lost that race unpins and looks again. A hit sets the
+//     clock's reference bit only if clear and counts on the frame it
+//     has just written: nothing pool-wide. Pin and Unpin pair exactly:
+//     an Unpin with no outstanding pin panics, and pins outstanding at
+//     Close are reported as leaks.
+//   - A pinless hit. A frame's cached decoded object is set only by a
+//     pin holder under the latch, so it never describes bytes other
+//     than the frame's, and the pool clears it before the page can
+//     become resident anywhere else. Peek(id) returns the frame mapped
+//     to id, unpinned; the caller loads the object and checks that it
+//     is page id's own (internal/node checks Node.ID), since the frame
+//     may have been recycled in between. An object that passes was the
+//     page's current content when it was loaded: a newer version could
+//     only have been written through a pin on this same frame, which
+//     replaces the object, or after the page moved to another frame,
+//     before which the object is cleared. The read linearizes at that
+//     load, as a decode of the bytes at that instant would. Touch then
+//     counts the hit on a striped counter — the one shared write.
+//   - A miss claims a victim: a new frame below Capacity, else the
+//     clock's choice (the hand skips pinned and claimed frames, spends
+//     a set reference bit as the frame's second chance, and claims the
+//     first unpinned frame without one; a page arrives with the bit
+//     clear and earns it by being hit). The loader latches the victim
+//     exclusively and elects itself by storing the frame into the
+//     page's empty directory slot; a loser releases its victim
+//     untouched and looks again. A dirty victim is written back first
+//     and stays mapped to its old page, claimed, until the bytes have
+//     landed — lookups of that page wait on the latch — so every page
+//     is always resident or re-fetchable and nobody can re-fault a
+//     stale image. Then the page is read in (not at all for
+//     PinOverwrite and Write of a page known to exist: they replace
+//     every byte) and the claim becomes the caller's pin. The only lock
+//     held across these transfers is that one frame's latch, so misses
+//     on different pages overlap; a second miss on the same page finds
+//     the claimed frame in the slot and waits on its latch — one page,
+//     one read. A failed read is recorded on the frame for those
+//     waiters, and leaves no mapping and no pin. The read-ahead worker
+//     takes the same path, but gives up when no frame is free and
+//     leaves the page unpinned.
+//   - Exhaustion. When every frame is pinned or claimed a Pin waits, on
+//     the pool's one mutex and condition, which nothing else uses,
+//     until an Unpin brings a count to zero or the pool closes
+//     (base.ErrClosed). Pins span a decode, an encode or one transfer,
+//     so the wait is short; only after ExhaustedAfter does Pin fail
+//     with the "exhausted" error, which therefore means a leaked pin.
+//   - Lock order. A goroutine holds at most one frame latch and calls
+//     the underlying store with nothing else held; the pool mutex is
+//     never held across a latch or a store call; latch holders call
+//     back into the pool only to Unpin, after unlatching. Flush takes
+//     each latch shared, without a pin, to write the bytes back.
+//
+// How this composes with the paper's §5.3 reclamation epochs, one layer
+// up: the tree never holds frame pointers across operations
+// (internal/node hands out immutable Node values), so a lock-free
+// search racing an eviction either finds the page resident or faults it
+// back in — both serve the bytes the last writer put there. A page
+// retired by compression is Freed only after every epoch that could
+// still reach it has exited. Free pins the page's frame like any other
+// pinner, marks it doomed — no new pin, no claim — unmaps the page and
+// unpins; whoever releases the last pin, normally Free itself, empties
+// the frame without write-back and runs the underlying free. The one
+// actor outside the epochs is the read-ahead worker, whose stale hints
+// may be loading a page as it is freed: Free waits for that claim and
+// then drops what it loaded.
 //
 // # Durability contract
 //

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"blinktree/internal/base"
+	"blinktree/internal/pagedir"
 )
 
 // FileStore keeps pages in a single file, page id N occupying byte range
@@ -19,6 +20,7 @@ type FileStore struct {
 	pageSize int
 	f        *os.File
 	free     *freelist
+	zero     []byte // one page of zeros, only ever read
 	closed   atomic.Bool
 
 	// syncWrites makes every page write fsync before returning (the
@@ -27,8 +29,8 @@ type FileStore struct {
 	syncWrites    atomic.Bool
 	writes, syncs atomic.Uint64
 
-	mu    sync.Mutex // guards alloc map
-	alloc map[base.PageID]bool
+	alloc pagedir.Dir[atomic.Bool] // the page is allocated: one flag per id, no lock to test it
+	pages atomic.Int64             // flags set
 	latch [shardCount]sync.RWMutex
 }
 
@@ -45,7 +47,7 @@ func NewFileStore(path string, pageSize int) (*FileStore, error) {
 		pageSize: pageSize,
 		f:        f,
 		free:     newFreelist(),
-		alloc:    make(map[base.PageID]bool),
+		zero:     make([]byte, pageSize),
 	}, nil
 }
 
@@ -53,10 +55,8 @@ func NewFileStore(path string, pageSize int) (*FileStore, error) {
 func (s *FileStore) PageSize() int { return s.pageSize }
 
 func (s *FileStore) allocated(id base.PageID) bool {
-	s.mu.Lock()
-	ok := s.alloc[id]
-	s.mu.Unlock()
-	return ok
+	flag := s.alloc.At(id)
+	return flag != nil && flag.Load()
 }
 
 // Read implements Store.
@@ -133,18 +133,16 @@ func (s *FileStore) Allocate() (base.PageID, error) {
 		return base.NilPage, base.ErrClosed
 	}
 	id := s.free.alloc()
-	zero := make([]byte, s.pageSize)
 	l := &s.latch[shardOf(id)]
 	l.Lock()
-	_, err := s.f.WriteAt(zero, int64(id-1)*int64(s.pageSize))
+	_, err := s.f.WriteAt(s.zero, int64(id-1)*int64(s.pageSize))
 	l.Unlock()
 	if err != nil {
 		s.free.free(id)
 		return base.NilPage, fmt.Errorf("storage: zero page %d: %w", id, err)
 	}
-	s.mu.Lock()
-	s.alloc[id] = true
-	s.mu.Unlock()
+	s.alloc.Ensure(id).Store(true)
+	s.pages.Add(1)
 	return id, nil
 }
 
@@ -153,24 +151,16 @@ func (s *FileStore) Free(id base.PageID) error {
 	if s.closed.Load() {
 		return base.ErrClosed
 	}
-	s.mu.Lock()
-	if !s.alloc[id] {
-		s.mu.Unlock()
+	if flag := s.alloc.At(id); flag == nil || !flag.CompareAndSwap(true, false) {
 		return fmt.Errorf("%w: %d", ErrBadPage, id)
 	}
-	delete(s.alloc, id)
-	s.mu.Unlock()
+	s.pages.Add(-1)
 	s.free.free(id)
 	return nil
 }
 
 // Pages implements Store.
-func (s *FileStore) Pages() int {
-	s.mu.Lock()
-	n := len(s.alloc)
-	s.mu.Unlock()
-	return n
-}
+func (s *FileStore) Pages() int { return int(s.pages.Load()) }
 
 // Close implements Store.
 func (s *FileStore) Close() error {

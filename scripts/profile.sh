@@ -5,6 +5,7 @@
 #
 #   scripts/profile.sh                                     # BenchmarkMemBalanced, root package
 #   scripts/profile.sh BenchmarkSearchParallel ./internal/blink
+#   scripts/profile.sh 'BenchmarkDiskRead/pool=10%'        # one sub-benchmark
 #   PROFILE_CPU=1,2 PROFILE_TIME=5s PROFILE_TOP=25 scripts/profile.sh
 #
 # The test binary and the profiles land in profiles/ (git-ignored); look
@@ -18,10 +19,11 @@ cpu="${PROFILE_CPU:-$(getconf _NPROCESSORS_ONLN)}"
 top="${PROFILE_TOP:-15}"
 out="$PWD/profiles"
 mkdir -p "$out"
+name="$(printf %s "$bench" | tr -c 'A-Za-z0-9_\n' _)" # a sub-benchmark's name is no file name
 
 go test -run '^$' -bench "^${bench}\$" -benchtime "${PROFILE_TIME:-10s}" -cpu "$cpu" -benchmem \
-	-o "$out/$bench.test" -cpuprofile "$out/${bench}_cpu.pprof" -memprofile "$out/${bench}_mem.pprof" "$pkg"
+	-o "$out/$name.test" -cpuprofile "$out/${name}_cpu.pprof" -memprofile "$out/${name}_mem.pprof" "$pkg"
 echo "--- cpu, top $top (flat)"
-go tool pprof -top -nodecount "$top" "$out/$bench.test" "$out/${bench}_cpu.pprof" 2>/dev/null | tail -n +6
+go tool pprof -top -nodecount "$top" "$out/$name.test" "$out/${name}_cpu.pprof" 2>/dev/null | tail -n +6
 echo "--- allocations, top $top (alloc_space)"
-go tool pprof -sample_index=alloc_space -top -nodecount "$top" "$out/$bench.test" "$out/${bench}_mem.pprof" 2>/dev/null | tail -n +5
+go tool pprof -sample_index=alloc_space -top -nodecount "$top" "$out/$name.test" "$out/${name}_mem.pprof" 2>/dev/null | tail -n +5
