@@ -894,6 +894,13 @@ func (cn *conn) takePending(id uint64) *call {
 // roundtrip sends one request (payload owned by the caller) and waits
 // for its response, returning an owned response slice.
 func (cn *conn) roundtrip(ctx context.Context, op uint8, payload []byte) ([]byte, error) {
+	ctxDone := ctx.Done()
+	if ctxDone != nil && ctx.Err() != nil {
+		// Already cancelled: the select below would pick at random
+		// between the cancellation and a reply that raced in, so the
+		// request must not go on the wire at all.
+		return nil, ctx.Err()
+	}
 	id := cn.ids.Add(1)
 	cl := callPool.Get().(*call)
 	cl.payload, cl.status, cl.err, cl.respLen = nil, 0, nil, 0
@@ -901,14 +908,14 @@ func (cn *conn) roundtrip(ctx context.Context, op uint8, payload []byte) ([]byte
 		callPool.Put(cl)
 		return nil, &netError{err}
 	}
-	if ctx.Done() == nil {
+	if ctxDone == nil {
 		// No cancellation possible: skip the select machinery.
 		<-cl.done
 		return cl.finish()
 	}
 	select {
 	case <-cl.done:
-	case <-ctx.Done():
+	case <-ctxDone:
 		if cn.takePending(id) != nil {
 			// Abandoned before delivery: the reader can no longer see
 			// this call, so it is ours to reuse (the queued frame
@@ -952,18 +959,24 @@ func (cl *call) finish() ([]byte, error) {
 // goroutine, which may still hold a swapped-out burst that reads
 // cl.req while it drains onto the dead socket.
 func (cn *conn) roundtripPoint(ctx context.Context, op uint8, cl *call, n int) (val uint64, ok, reuse bool, err error) {
+	ctxDone := ctx.Done()
+	if ctxDone != nil && ctx.Err() != nil {
+		// Already cancelled (see roundtrip): nothing is sent and nothing
+		// references cl.
+		return 0, false, true, ctx.Err()
+	}
 	id := cn.ids.Add(1)
 	cl.payload, cl.status, cl.err, cl.respLen = nil, 0, nil, 0
 	if err := cn.enqueue(id, op, cl.req[:n], cl); err != nil {
 		// Refused before entering the queue: nothing references cl.
 		return 0, false, true, &netError{err}
 	}
-	if ctx.Done() == nil {
+	if ctxDone == nil {
 		<-cl.done
 	} else {
 		select {
 		case <-cl.done:
-		case <-ctx.Done():
+		case <-ctxDone:
 			if cn.takePending(id) != nil {
 				return 0, false, false, ctx.Err()
 			}

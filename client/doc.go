@@ -14,7 +14,7 @@
 // syscalls than N round trips, and the server coalesces the burst
 // into a single shard-parallel batch (one WAL group commit per
 // touched shard on a durable server). Throughput therefore scales
-// with pipeline depth; see experiment E13.
+// with pipeline depth (server.reqs_per_poll on net-readmostly).
 //
 // Semantics across the wire:
 //

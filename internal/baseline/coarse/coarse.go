@@ -1,8 +1,8 @@
 // Package coarse is the zero-concurrency baseline: a sequential
 // B⁺-tree behind a single RWMutex. Readers share; any update excludes
 // everything. Every concurrent-index paper implicitly compares against
-// this floor, and the experiment harness uses it to show what the
-// fine-grained algorithms buy.
+// this floor; the gate's baseline.coarse_ops_per_s rung uses it to show
+// what the fine-grained algorithms buy.
 package coarse
 
 import (

@@ -5,8 +5,8 @@
 // overtaking another on the way up: after splitting a node, the
 // inserter keeps the child locked while it locks (and moves right at)
 // the parent, holding up to three locks simultaneously. Sagiv's
-// observation is that this coupling is unnecessary — measured directly
-// by experiment E2.
+// observation is that this coupling is unnecessary — asserted directly
+// by TestLockFootprintSeparation.
 //
 // Deletions follow the original paper too: remove the pair from the
 // leaf and do nothing else, even if the leaf becomes sparse (the space

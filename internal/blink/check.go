@@ -176,8 +176,8 @@ func samePageSeq(a, b []base.PageID) error {
 	return nil
 }
 
-// Occupancy describes how full the tree's nodes are; compression
-// experiments (E3) report it before and after compressing.
+// Occupancy describes how full the tree's nodes are; the compression
+// tests assert on it before and after compressing.
 type Occupancy struct {
 	Nodes     int     // live nodes, all levels
 	Leaves    int     // live leaves

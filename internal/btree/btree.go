@@ -231,11 +231,14 @@ func (t *Tree) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
 
 // Delete removes k, rebalancing so every non-root node keeps ≥ k keys.
 func (t *Tree) Delete(k base.Key) error {
-	if err := t.deleteFrom(t.root, k); err != nil {
-		return err
-	}
+	err := t.deleteFrom(t.root, k)
+	// Even a miss may have merged the root's last two children on the
+	// way down.
 	if !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]
+	}
+	if err != nil {
+		return err
 	}
 	t.size--
 	return nil

@@ -189,3 +189,35 @@ func TestPropertyMatchesModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A Delete that misses still rebalances on the way down. Once such a
+// miss merges the root's last two children the root must collapse all
+// the same: further misses keep merging below the lone child until it
+// is minimal, and the next descent then finds no sibling to fill it from.
+func TestDeleteMissCollapsesRoot(t *testing.T) {
+	const n = 64
+	tr, _ := New(2)
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(base.Key(2*i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i < n; i += 2 { // leave every node minimal
+		if err := tr.Delete(base.Key(2 * i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for sweep := 0; sweep < 4; sweep++ {
+		for i := 0; i < n; i++ {
+			if err := tr.Delete(base.Key(2*i + 1)); !errors.Is(err, base.ErrNotFound) {
+				t.Fatalf("delete of absent key %d: %v", 2*i+1, err)
+			}
+		}
+		if err := tr.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Len() != n/2 {
+		t.Fatalf("Len = %d, want %d", tr.Len(), n/2)
+	}
+}

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -66,6 +67,17 @@ func TestCompressorDrainRestoresOccupancy(t *testing.T) {
 	if c.Stats().Merges.Load() == 0 {
 		t.Fatal("no merges recorded")
 	}
+	// §5.3's phase order: compression only retires the pages it merged
+	// away; they are freed by the next Collect, not before.
+	if rs := c.rec.Stats(); rs.Freed != 0 || rs.Limbo == 0 {
+		t.Fatalf("after drain, before collect: %+v, want Freed 0 and Limbo > 0", rs)
+	}
+	if _, err := c.CollectGarbage(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := c.rec.Stats(); rs.Limbo != 0 || rs.Freed != rs.Retired {
+		t.Fatalf("after collect: %+v, want Limbo 0 and Freed == Retired", rs)
+	}
 	for i := 0; i < n; i += 10 {
 		if v, err := tr.Search(base.Key(i)); err != nil || v != base.Value(i) {
 			t.Fatalf("survivor %d: (%d,%v)", i, v, err)
@@ -129,9 +141,18 @@ func TestCompressorRootCollapseViaQueue(t *testing.T) {
 
 // TestCompressorConcurrentWithTraffic is the Theorem 2 scenario: any
 // number of searches, insertions, deletions and compressions running
-// together, with background workers draining the shared queue.
+// together, with background workers draining the shared queue. The
+// second shape is the adversarial one: minimal nodes, so nearly every
+// delete queues a compression, and more writers and compressors than Ps.
 func TestCompressorConcurrentWithTraffic(t *testing.T) {
-	const k = 3
+	for _, c := range []struct{ k, compressors, churners int }{{3, 3, 3}, {2, 4, 8}} {
+		t.Run(fmt.Sprintf("k=%d/compressors=%d/churners=%d", c.k, c.compressors, c.churners), func(t *testing.T) {
+			compressorUnderTraffic(t, c.k, c.compressors, c.churners)
+		})
+	}
+}
+
+func compressorUnderTraffic(t *testing.T, k, compressors, churners int) {
 	tr, c := newCompressedTree(t, k)
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -139,12 +160,12 @@ func TestCompressorConcurrentWithTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Start(3) // three compressor workers (§5.4 mode 2)
+	c.Start(compressors) // §5.4 mode 2
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Churners: delete and reinsert odd keys.
-	for w := 0; w < 3; w++ {
+	for w := 0; w < churners; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

@@ -1,17 +1,11 @@
-// Package harness runs the evaluation experiments E1–E8 of DESIGN.md:
-// it builds each index implementation over a common substrate, drives
-// deterministic workloads at varying concurrency, and prints the report
-// tables that EXPERIMENTS.md records. The paper (PODS 1985) predates
-// empirical evaluations, so each experiment operationalizes one of its
-// quantitative claims.
+// Package harness holds the constructors of the four contenders the
+// paper compares — Sagiv's tree, Lehman–Yao, lock coupling and one
+// coarse lock — behind base.Tree, so bench/ (blinkbench's baseline.*
+// rungs) and the root benchmarks build them the same way.
 package harness
 
 import (
 	"fmt"
-	"io"
-	"strings"
-	"sync"
-	"time"
 
 	"blinktree/internal/base"
 	"blinktree/internal/baseline/coarse"
@@ -20,10 +14,8 @@ import (
 	"blinktree/internal/blink"
 	"blinktree/internal/compress"
 	"blinktree/internal/locks"
-	"blinktree/internal/metrics"
 	"blinktree/internal/node"
 	"blinktree/internal/reclaim"
-	"blinktree/internal/workload"
 )
 
 // Kind names an index implementation.
@@ -40,22 +32,13 @@ const (
 // AllKinds lists every implementation in report order.
 var AllKinds = []Kind{KindSagiv, KindLehmanYao, KindLockCoupling, KindCoarse}
 
-// Instance bundles a tree with its substrate handles (where they
-// exist) so experiments can attach compressors and read footprints.
+// Instance is a built tree. The Sagiv handles are nil for the baselines.
 type Instance struct {
 	Kind Kind
 	Tree base.Tree
 
-	// Sagiv-only handles.
 	Blink      *blink.Tree
-	Store      node.Store
-	Locks      locks.Locker
-	Reclaimer  *reclaim.Reclaimer
 	Compressor *compress.Compressor
-
-	// Baseline handles for stats.
-	LY *lehmanyao.Tree
-	LC *lockcoupling.Tree
 }
 
 // Build constructs an instance of kind with branching parameter k. For
@@ -71,7 +54,7 @@ func Build(kind Kind, k int, withCompression bool) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		inst := &Instance{Kind: kind, Tree: tr, Blink: tr, Store: st, Locks: lt, Reclaimer: rec}
+		inst := &Instance{Kind: kind, Tree: tr, Blink: tr}
 		if withCompression {
 			inst.Compressor = compress.NewCompressor(st, lt, k, rec)
 			inst.Compressor.Attach(tr)
@@ -82,13 +65,13 @@ func Build(kind Kind, k int, withCompression bool) (*Instance, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Instance{Kind: kind, Tree: tr, LY: tr}, nil
+		return &Instance{Kind: kind, Tree: tr}, nil
 	case KindLockCoupling:
 		tr, err := lockcoupling.New(k)
 		if err != nil {
 			return nil, err
 		}
-		return &Instance{Kind: kind, Tree: tr, LC: tr}, nil
+		return &Instance{Kind: kind, Tree: tr}, nil
 	case KindCoarse:
 		tr, err := coarse.New(k)
 		if err != nil {
@@ -98,218 +81,4 @@ func Build(kind Kind, k int, withCompression bool) (*Instance, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown kind %q", kind)
 	}
-}
-
-// RunConfig describes one measured run.
-type RunConfig struct {
-	Kind         Kind
-	K            int // branching parameter (MinPairs / degree)
-	Workers      int
-	OpsPerWorker int
-	Preload      int // keys inserted (sequentially scattered) before timing
-	KeySpace     uint64
-	Mix          workload.Mix
-	Dist         workload.KeyDist // nil = Uniform{KeySpace}
-	Compression  bool             // Sagiv only: background compressor workers
-	CompWorkers  int
-	Seed         int64
-}
-
-// Result is the outcome of one run.
-type Result struct {
-	Cfg        RunConfig
-	Elapsed    time.Duration
-	Ops        uint64
-	Throughput float64 // ops per second
-	Latency    metrics.Histogram
-
-	// Footprints (zero when the implementation lacks them).
-	InsertMaxLocks, DeleteMaxLocks uint64
-	SearchMaxLocks                 uint64
-	MeanInsertLocks                float64
-
-	// Sagiv-specific observability.
-	Restarts, LinkHops, Splits uint64
-	Searches                   uint64
-}
-
-// Run executes the configured workload and returns measurements.
-func Run(cfg RunConfig) (*Result, error) {
-	if cfg.K == 0 {
-		cfg.K = 16
-	}
-	if cfg.KeySpace == 0 {
-		cfg.KeySpace = 1 << 20
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	if cfg.OpsPerWorker == 0 {
-		cfg.OpsPerWorker = 10000
-	}
-	inst, err := Build(cfg.Kind, cfg.K, cfg.Compression)
-	if err != nil {
-		return nil, err
-	}
-	defer inst.Tree.Close()
-
-	// Preload with keys spread over the key space.
-	if cfg.Preload > 0 {
-		stride := cfg.KeySpace / uint64(cfg.Preload)
-		if stride == 0 {
-			stride = 1
-		}
-		for i := 0; i < cfg.Preload; i++ {
-			k := base.Key(uint64(i) * stride)
-			if err := inst.Tree.Insert(k, base.Value(k)); err != nil && err != base.ErrDuplicate {
-				return nil, fmt.Errorf("preload: %w", err)
-			}
-		}
-	}
-	if inst.Compressor != nil && cfg.Compression {
-		w := cfg.CompWorkers
-		if w <= 0 {
-			w = 1
-		}
-		inst.Compressor.Start(w)
-		defer inst.Compressor.Stop()
-	}
-
-	res := &Result{Cfg: cfg}
-	var ops metrics.Counter
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.Workers)
-	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := cfg.Dist
-			if dist == nil {
-				dist = workload.Uniform{N: cfg.KeySpace}
-			}
-			gen, err := workload.NewGenerator(cfg.Seed+int64(w)*1315423911, dist, cfg.Mix)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for i := 0; i < cfg.OpsPerWorker; i++ {
-				op := gen.Next()
-				t0 := time.Now()
-				if _, err := workload.Apply(inst.Tree, op); err != nil {
-					errs <- fmt.Errorf("worker %d op %d (%v): %w", w, i, op.Kind, err)
-					return
-				}
-				res.Latency.Observe(time.Since(t0))
-				ops.Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, err
-	}
-	res.Elapsed = time.Since(start)
-	res.Ops = ops.Load()
-	res.Throughput = ops.Rate(res.Elapsed)
-
-	switch {
-	case inst.Blink != nil:
-		st := inst.Blink.Stats()
-		res.InsertMaxLocks = st.InsertLocks.MaxHeld
-		res.DeleteMaxLocks = st.DeleteLocks.MaxHeld
-		res.MeanInsertLocks = st.InsertLocks.MeanMaxHeld
-		res.Restarts = st.Restarts
-		res.LinkHops = st.LinkHops
-		res.Splits = st.Splits
-		res.Searches = st.Searches
-	case inst.LY != nil:
-		st := inst.LY.Stats()
-		res.InsertMaxLocks = st.InsertLocks.MaxHeld
-		res.DeleteMaxLocks = st.DeleteLocks.MaxHeld
-		res.MeanInsertLocks = st.InsertLocks.MeanMaxHeld
-		res.LinkHops = st.LinkHops
-		res.Splits = st.Splits
-		res.Searches = st.Searches
-	case inst.LC != nil:
-		st := inst.LC.Stats()
-		res.InsertMaxLocks = st.InsertLocks.MaxHeld
-		res.DeleteMaxLocks = st.DeleteLocks.MaxHeld
-		res.SearchMaxLocks = st.SearchLocks.MaxHeld
-		res.MeanInsertLocks = st.InsertLocks.MeanMaxHeld
-		res.Splits = st.Splits
-		res.Searches = st.Searches
-	}
-	return res, nil
-}
-
-// Table accumulates rows and renders an aligned text table.
-type Table struct {
-	Title   string
-	Headers []string
-	Rows    [][]string
-	Notes   []string
-}
-
-// capture, when set, receives every table as it renders — the hook
-// sagivbench uses to emit machine-readable results next to the text
-// report without threading a collector through every experiment.
-var capture func(*Table)
-
-// SetCapture installs fn to observe every rendered table (nil
-// uninstalls). Not safe to change while experiments run.
-func SetCapture(fn func(*Table)) { capture = fn }
-
-// Add appends a row, formatting each cell with %v.
-func (t *Table) Add(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.1f", v)
-		default:
-			row[i] = fmt.Sprintf("%v", c)
-		}
-	}
-	t.Rows = append(t.Rows, row)
-}
-
-// Render writes the aligned table to w.
-func (t *Table) Render(w io.Writer) {
-	if capture != nil {
-		capture(t)
-	}
-	widths := make([]int, len(t.Headers))
-	for i, h := range t.Headers {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	fmt.Fprintf(w, "== %s ==\n", t.Title)
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
-	}
-	line(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range t.Rows {
-		line(r)
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
-	}
-	fmt.Fprintln(w)
 }

@@ -1,18 +1,15 @@
 package harness
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-
-	"blinktree/internal/workload"
-)
+import "testing"
 
 func TestBuildAllKinds(t *testing.T) {
 	for _, kind := range AllKinds {
 		inst, err := Build(kind, 4, kind == KindSagiv)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
+		}
+		if sagiv := kind == KindSagiv; (inst.Blink != nil) != sagiv || (inst.Compressor != nil) != sagiv {
+			t.Fatalf("%s: Sagiv handles: blink %v, compressor %v", kind, inst.Blink != nil, inst.Compressor != nil)
 		}
 		if err := inst.Tree.Insert(1, 10); err != nil {
 			t.Fatalf("%s insert: %v", kind, err)
@@ -26,98 +23,5 @@ func TestBuildAllKinds(t *testing.T) {
 	}
 	if _, err := Build(Kind("nonsense"), 4, false); err == nil {
 		t.Fatal("unknown kind accepted")
-	}
-}
-
-func TestRunSmoke(t *testing.T) {
-	for _, kind := range AllKinds {
-		res, err := Run(RunConfig{
-			Kind: kind, K: 4, Workers: 4, OpsPerWorker: 500,
-			Preload: 500, KeySpace: 4096,
-			Mix: workload.Balanced, Seed: 9,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if res.Ops != 2000 {
-			t.Fatalf("%s ops = %d", kind, res.Ops)
-		}
-		if res.Throughput <= 0 {
-			t.Fatalf("%s throughput = %f", kind, res.Throughput)
-		}
-		if res.Latency.Count() != res.Ops {
-			t.Fatalf("%s latency count %d != ops %d", kind, res.Latency.Count(), res.Ops)
-		}
-	}
-}
-
-func TestRunFootprintsExposed(t *testing.T) {
-	res, err := Run(RunConfig{
-		Kind: KindSagiv, K: 2, Workers: 2, OpsPerWorker: 2000,
-		KeySpace: 2000, Mix: workload.InsertHeavy, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InsertMaxLocks != 1 {
-		t.Fatalf("sagiv insert max locks = %d", res.InsertMaxLocks)
-	}
-	res, err = Run(RunConfig{
-		Kind: KindLockCoupling, K: 2, Workers: 2, OpsPerWorker: 2000,
-		KeySpace: 2000, Mix: workload.InsertHeavy, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.InsertMaxLocks < 2 {
-		t.Fatalf("coupling insert max locks = %d", res.InsertMaxLocks)
-	}
-}
-
-func TestTableRender(t *testing.T) {
-	tbl := &Table{Title: "demo", Headers: []string{"a", "long-header"}}
-	tbl.Add("x", 1)
-	tbl.Add("yyyy", 2.5)
-	tbl.Notes = append(tbl.Notes, "a note")
-	var buf bytes.Buffer
-	tbl.Render(&buf)
-	out := buf.String()
-	for _, want := range []string{"demo", "long-header", "yyyy", "2.5", "note: a note"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestExperimentsSmoke runs every experiment at a tiny scale; this is
-// the integration test that the whole evaluation pipeline works.
-func TestExperimentsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments smoke is not short")
-	}
-	var buf bytes.Buffer
-	const s = Scale(0.01)
-	steps := []struct {
-		name string
-		fn   func() error
-	}{
-		{"E1", func() error { return E1Throughput(&buf, s) }},
-		{"E1b", func() error { return E1DiskThroughput(&buf, s) }},
-		{"E2", func() error { return E2LockFootprint(&buf, s) }},
-		{"E3", func() error { return E3Compression(&buf, s) }},
-		{"E4", func() error { return E4RestartRate(&buf, s) }},
-		{"E5", func() error { return E5Compressors(&buf, s) }},
-		{"E6", func() error { return E6Deadlock(&buf, s) }},
-		{"E7", func() error { return E7LinkChase(&buf, s) }},
-		{"E8", func() error { return E8Reclamation(&buf, s) }},
-		{"E12", func() error { return E12Durability(&buf, s) }},
-	}
-	for _, st := range steps {
-		if err := st.fn(); err != nil {
-			t.Fatalf("%s: %v", st.name, err)
-		}
-		if !strings.Contains(buf.String(), st.name+":") {
-			t.Fatalf("%s produced no table:\n%s", st.name, buf.String())
-		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 // for the number of locks held simultaneously. Holders are not safe for
 // concurrent use; each operation owns one.
 //
-// The accounting feeds experiment E2: the paper's central efficiency
-// argument is that an insertion "has to lock only one node at any time"
-// (abstract, §3.1) versus two or three in Lehman–Yao.
+// The accounting feeds every footprint assertion: the paper's central
+// efficiency argument is that an insertion "has to lock only one node
+// at any time" (abstract, §3.1) versus two or three in Lehman–Yao.
 type Holder struct {
 	l       Locker
 	held    []base.PageID // pages currently locked, in acquisition order

@@ -1,6 +1,6 @@
-// Package metrics provides the small measurement kit the experiment
-// harness uses: lock-free latency histograms with power-of-two buckets
-// and percentile estimation, and simple running aggregates.
+// Package metrics provides the small measurement kit the server and the
+// router report with: lock-free latency histograms with power-of-two
+// buckets and percentile estimation, and atomic counters.
 package metrics
 
 import (
@@ -111,11 +111,3 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Rate computes events per second over elapsed.
-func (c *Counter) Rate(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(c.v.Load()) / elapsed.Seconds()
-}

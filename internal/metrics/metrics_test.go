@@ -92,10 +92,4 @@ func TestCounter(t *testing.T) {
 	if c.Load() != 10 {
 		t.Fatalf("counter = %d", c.Load())
 	}
-	if r := c.Rate(2 * time.Second); r != 5 {
-		t.Fatalf("rate = %f", r)
-	}
-	if r := c.Rate(0); r != 0 {
-		t.Fatalf("rate(0) = %f", r)
-	}
 }

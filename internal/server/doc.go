@@ -44,7 +44,7 @@
 // the failover path cmd/blinkserver wires to a repl.Follower.
 //
 // The package deliberately depends on shard.Router, not on the public
-// facade, so the facade, the harness and the benchmarks can all embed
+// facade, so the facade, the tests and the benchmarks can all embed
 // a Server without an import cycle. cmd/blinkserver is the thin
 // binary around it; the public client lives in the client package.
 package server

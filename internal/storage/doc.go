@@ -24,9 +24,6 @@
 //     made explicit and enforced. It is the disk-native serving path:
 //     at most Capacity frames resident, everything else faulted in on
 //     demand.
-//   - wrappers.go: Metered counts operations and Latency injects
-//     artificial per-op delay, used by the experiment harness to
-//     simulate disks.
 //
 // The node layer (internal/node) sits directly above: it serializes
 // tree nodes through the page codec into whichever Store is

@@ -29,8 +29,6 @@ func storeFactories(t *testing.T) map[string]func() Store {
 			}
 			return NewBufferPool(fs, 8)
 		},
-		"metered": func() Store { return NewMetered(NewMemStore(256)) },
-		"latency": func() Store { return NewLatency(NewMemStore(256), 0, 0) },
 	}
 }
 
@@ -282,8 +280,7 @@ func TestStoreNoTornReads(t *testing.T) {
 }
 
 func TestBufferPoolWritebackAndFlush(t *testing.T) {
-	under := NewMetered(NewMemStore(128))
-	pool := NewBufferPool(under, 4)
+	pool := NewBufferPool(NewMemStore(128), 4)
 
 	var ids []base.PageID
 	for i := 0; i < 12; i++ {
@@ -328,25 +325,6 @@ func TestBufferPoolWritebackAndFlush(t *testing.T) {
 	}
 	if err := pool.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMeteredCounts(t *testing.T) {
-	m := NewMetered(NewMemStore(128))
-	defer m.Close()
-	id, _ := m.Allocate()
-	buf := make([]byte, 128)
-	_ = m.Write(id, buf)
-	_ = m.Read(id, buf)
-	_ = m.Read(id, buf)
-	_ = m.Free(id)
-	st := m.Stats()
-	if st.Reads != 2 || st.Writes != 1 || st.Allocs != 1 || st.Frees != 1 {
-		t.Fatalf("unexpected counts: %+v", st)
-	}
-	m.Reset()
-	if st := m.Stats(); st != (IOStats{}) {
-		t.Fatalf("Reset did not zero: %+v", st)
 	}
 }
 

@@ -27,8 +27,8 @@ type Overlay struct {
 	mu     sync.Mutex // guards leaves
 	leaves []Hash
 
-	// Rehashed counts buckets re-hashed since open — the /metrics and
-	// E17 visibility into maintenance work.
+	// Rehashed counts buckets re-hashed since open — the /metrics
+	// visibility into maintenance work.
 	Rehashed atomic.Uint64
 }
 

@@ -32,7 +32,7 @@ const fwRetain = 256 << 10
 // syscall batching. It replaces bufio.Writer on the hot path, which
 // both issued one write per 64 KiB and forced WriteFrame's header
 // array to escape through the io.Writer interface (one allocation per
-// frame; see the E18 allocation table).
+// frame).
 //
 // Buffer ownership rules:
 //   - WriteFrame copies the payload; the caller may reuse it

@@ -1,6 +1,6 @@
 // Package workload generates the key distributions and operation mixes
-// the experiment harness drives the trees with. Generators are
-// deterministic given a seed, so experiment runs are reproducible.
+// blinkstress, the tests and the root benchmarks drive the trees with.
+// Generators are deterministic given a seed, so runs are reproducible.
 package workload
 
 import (
@@ -101,42 +101,6 @@ func (z Zipf) skew() float64 {
 func (z Zipf) Draw(rng *rand.Rand) base.Key {
 	zp := rand.NewZipf(rng, z.skew(), 1, z.N-1)
 	return base.Key(zp.Uint64())
-}
-
-// Sequential draws ascending keys (the classic bulk-load /
-// time-ordered-insert pattern that stresses the rightmost path).
-type Sequential struct{ next uint64 }
-
-// Draw implements KeyDist. Not safe for concurrent use; give each
-// worker its own.
-func (s *Sequential) Draw(*rand.Rand) base.Key {
-	k := s.next
-	s.next++
-	return base.Key(k)
-}
-
-// Name implements KeyDist.
-func (s *Sequential) Name() string { return "sequential" }
-
-// HotSet draws from a small hot range with probability HotProb and
-// uniformly otherwise.
-type HotSet struct {
-	N       uint64
-	HotN    uint64
-	HotProb float64
-}
-
-// Draw implements KeyDist.
-func (h HotSet) Draw(rng *rand.Rand) base.Key {
-	if rng.Float64() < h.HotProb {
-		return base.Key(rng.Uint64() % h.HotN)
-	}
-	return base.Key(rng.Uint64() % h.N)
-}
-
-// Name implements KeyDist.
-func (h HotSet) Name() string {
-	return fmt.Sprintf("hotset(%d/%d,p=%.2f)", h.HotN, h.N, h.HotProb)
 }
 
 // Stretch scales another distribution's draws by a constant stride,

@@ -87,25 +87,6 @@ func TestDistributions(t *testing.T) {
 		t.Fatalf("zipf not skewed: only %d/1000 draws below 10", low)
 	}
 
-	seq := &Sequential{}
-	gs, _ := NewGenerator(1, seq, ReadOnly)
-	for i := 0; i < 100; i++ {
-		if k := gs.Next().Key; k != base.Key(i) {
-			t.Fatalf("sequential draw %d = %d", i, k)
-		}
-	}
-
-	gh, _ := NewGenerator(1, HotSet{N: 10000, HotN: 10, HotProb: 0.9}, ReadOnly)
-	hot := 0
-	for i := 0; i < 1000; i++ {
-		if gh.Next().Key < 10 {
-			hot++
-		}
-	}
-	if hot < 800 {
-		t.Fatalf("hotset not hot: %d/1000", hot)
-	}
-
 	stride := ^uint64(0)/64 + 1
 	gst, _ := NewGenerator(1, Stretch{Base: Uniform{N: 64}, Stride: stride}, ReadOnly)
 	quarters := [4]int{}

@@ -1,11 +1,18 @@
 #!/bin/sh
 # One profiling command (SNIPPETS.md snippet 1's workflow): runs a
 # benchmark with CPU and allocation profiles and prints pprof -top for
-# both. The default benchmark is blinkbench's mem-balanced shape.
+# both. blinkbench has no profile flag, so root bench_test.go carries one
+# target per gated workload, each the workload's shape as a go test
+# benchmark:
 #
-#   scripts/profile.sh                                     # BenchmarkMemBalanced, root package
+#   scripts/profile.sh                                     # BenchmarkMemBalanced: mem-balanced (the default)
+#   scripts/profile.sh BenchmarkNetReadMostly              # net-readmostly
+#   scripts/profile.sh BenchmarkDurableBatch               # durable-batch
+#   scripts/profile.sh 'BenchmarkDiskRead/pool=10%'        # disk-read; also pool=5%, pool=1%
+#
+# Any other benchmark works the same way:
+#
 #   scripts/profile.sh BenchmarkSearchParallel ./internal/blink
-#   scripts/profile.sh 'BenchmarkDiskRead/pool=10%'        # one sub-benchmark
 #   PROFILE_CPU=1,2 PROFILE_TIME=5s PROFILE_TOP=25 scripts/profile.sh
 #
 # The test binary and the profiles land in profiles/ (git-ignored); look
