@@ -1,370 +1,215 @@
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"blinktree/client"
 )
 
-// runAudit is the -audit mode: the end-to-end proof that verified
-// replication detects corruption that checksums cannot. It runs a real
-// verified primary + follower pair, then repeatedly corrupts the
-// follower's durable state on disk — one value byte in a checkpoint
-// snapshot or a WAL record, with the enclosing CRC RECOMPUTED so the
-// corruption is checksum-clean — and demands that every injection is
-// caught:
+// runAudit proves that verified replication detects corruption that
+// checksums cannot. A verified primary and follower replicate cleanly;
+// then, trial by trial, the follower's directory is restored from a
+// pristine copy and one value byte of a checkpoint snapshot or of a WAL
+// record is flipped, with the enclosing CRC recomputed:
 //
-//   - checkpoint tampering must be refused at recovery (the stored
-//     state root no longer matches the snapshot's recomputed root);
-//   - WAL tampering survives recovery (the root file does not cover
-//     the log suffix) but must trip the state-root divergence alarm at
-//     the next root the primary publishes, after which the follower
-//     refuses to replicate.
+//   - a tampered checkpoint must be refused at recovery (its stored
+//     state root no longer matches the recomputed one);
+//   - a tampered WAL record survives recovery (the root file does not
+//     cover the log suffix) but must raise the divergence alarm at the
+//     next root the primary publishes, after which the follower
+//     replicates nothing: a sentinel write must not reach it.
 //
-// A clean control restart between the tamper trials must come up
-// without any alarm and keep replicating — zero false positives.
-func runAudit(shards, k, compressors int, dir string) {
-	if dir == "" {
-		d, err := os.MkdirTemp("", "blinkstress-audit")
-		if err != nil {
-			fatal("tmpdir", err)
-		}
-		defer os.RemoveAll(d)
-		dir = d
-	}
-	pdir := filepath.Join(dir, "primary")
-	fdir := filepath.Join(dir, "follower")
-	pristine := filepath.Join(dir, "pristine")
-	for _, d := range []string{pdir, fdir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			fatal("mkdir", err)
-		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	ctx := context.Background()
-
-	primary := spawn(spawnOpts{shards: shards, k: k, compressors: compressors,
-		durable: true, dir: pdir, verified: true})
+// A clean control restart must raise no alarm and keep replicating.
+func runAudit(c *config) {
+	fdir, pristine := filepath.Join(c.dir, "follower"), filepath.Join(c.dir, "pristine")
+	ps := c.spec(filepath.Join(c.dir, "primary"))
+	ps.Verified = true
+	primary := mustSpawn(ps)
 	defer primary.stop()
-	cl, err := client.Dial(primary.addr, client.Options{Conns: 2})
-	if err != nil {
-		fatal("dial primary", err)
-	}
+	cl := dial(primary.addr)
 	defer cl.Close()
-	fmt.Printf("blinkstress audit: shards=%d, k=%d, dir=%s\n", shards, k, dir)
-	fmt.Printf("      primary %s (pid %d), verified\n", primary.addr, primary.cmd.Process.Pid)
+	fs := c.spec(fdir)
+	fs.Verified, fs.Follow = true, primary.addr
 
-	// Load a base population, spread over the keyspace so every shard
-	// holds pairs in both its checkpoint and its WAL suffix.
+	// Keys spread over the key space, so every shard holds pairs in both
+	// its checkpoint and its WAL suffix.
 	const base, suffix = 4000, 500
 	stride := ^uint64(0)/(base+suffix) + 1
-	key := func(i uint64) client.Key { return client.Key(i * stride) }
-	for i := uint64(0); i < base; i++ {
-		if err := cl.Insert(ctx, key(i), client.Value(i)); err != nil {
-			fatal("load", err)
+	write := func(from, to, mul uint64) {
+		for i := from; i < to; i++ {
+			if _, _, err := cl.Upsert(bg, client.Key(i*stride), client.Value(i*mul+1)); err != nil {
+				fatal("audit write", err)
+			}
+		}
+	}
+	// The follower's stderr goes to a file, read back for alarm lines.
+	logPath := filepath.Join(c.dir, "follower.log")
+	startFollower := func() (*child, error) {
+		log, err := os.Create(logPath)
+		if err != nil {
+			fatal("follower log", err)
+		}
+		defer log.Close()
+		return spawn(fs, log)
+	}
+	followerLog := func() string {
+		b, _ := os.ReadFile(logPath) // a missing log reads as empty: no alarm
+		return string(b)
+	}
+	// rootsEqual waits for the follower to reach the primary's root and
+	// fails on any alarm it raised meanwhile: there was nothing to find.
+	rootsEqual := func(clF *client.Client, what string) {
+		poll("audit: "+what, 30*time.Second, func() error {
+			pr, err1 := cl.Root(bg)
+			fr, err2 := clF.Root(bg)
+			if err1 != nil || err2 != nil || pr != fr {
+				return fmt.Errorf("roots differ: primary %x, follower %x (errs %v, %v)", pr[:8], fr[:8], err1, err2)
+			}
+			return nil
+		})
+		if s := followerLog(); strings.Contains(s, "divergence") {
+			fatal("audit", fmt.Errorf("false alarm at %s:\n%s", what, s))
 		}
 	}
 
-	// --- Clean phase: follower replicates, roots agree, no alarms. ---
-	var fstderr lockedBuf
-	follower, err := trySpawn(spawnOpts{shards: shards, k: k, compressors: compressors,
-		durable: true, dir: fdir, follow: primary.addr, verified: true, stderr: &fstderr})
+	// Clean phase. The follower checkpoints once the live stream has
+	// converged, so its directory holds a root-covered snapshot; then a
+	// suffix of fresh keys, each written once so a tampered record is
+	// never masked by a later one, lands in its WAL only.
+	write(0, base, 1)
+	f, err := startFollower()
 	if err != nil {
 		fatal("spawn follower", err)
 	}
-	clF := dialFollower(follower)
-	waitRootsEqual(ctx, cl, clF, "initial convergence")
-	for i := uint64(0); i < 1000; i++ { // live-stream traffic under root checks
-		if _, _, err := cl.Upsert(ctx, key(i), client.Value(i*3+1)); err != nil {
-			fatal("stream", err)
-		}
-	}
-	waitRootsEqual(ctx, cl, clF, "post-stream convergence")
-	// Checkpoint the follower so its directory holds a root-covered
-	// snapshot, then append a WAL suffix of once-written fresh keys
-	// (each key exactly once, so a tampered suffix record can never be
-	// masked by a later record for the same key).
-	if err := clF.Checkpoint(ctx); err != nil {
+	clF := dial(f.addr)
+	rootsEqual(clF, "initial convergence")
+	write(0, 1000, 3)
+	rootsEqual(clF, "stream convergence")
+	if err := clF.Checkpoint(bg); err != nil {
 		fatal("follower checkpoint", err)
 	}
-	for i := uint64(base); i < base+suffix; i++ {
-		if err := cl.Insert(ctx, key(i), client.Value(i)); err != nil {
-			fatal("suffix", err)
-		}
-	}
-	waitRootsEqual(ctx, cl, clF, "suffix convergence")
-	if s := fstderr.String(); strings.Contains(s, "divergence") {
-		fatal("audit", fmt.Errorf("false alarm on a clean run:\n%s", s))
-	}
+	write(base, base+suffix, 1)
+	rootsEqual(clF, "suffix convergence")
 	clF.Close()
-	follower.stop()
-	if err := copyDir(fdir, pristine); err != nil {
-		fatal("snapshot follower dir", err)
+	f.stop()
+	if err := os.CopyFS(pristine, os.DirFS(fdir)); err != nil {
+		fatal("copy follower dir", err)
 	}
-
-	// --- Trials. ---
-	detected := 0
-	trials := 0
-	sentinel := client.Key(^uint64(0) - 1)
 	restore := func() {
 		if err := os.RemoveAll(fdir); err != nil {
 			fatal("restore", err)
 		}
-		if err := copyDir(pristine, fdir); err != nil {
+		if err := os.CopyFS(fdir, os.DirFS(pristine)); err != nil {
 			fatal("restore", err)
 		}
 	}
 
-	// Control: a clean restart must come up, stay silent, and still
-	// replicate new writes.
-	restore()
-	fstderr.Reset()
-	follower, err = trySpawn(spawnOpts{shards: shards, k: k, compressors: compressors,
-		durable: true, dir: fdir, follow: primary.addr, verified: true, stderr: &fstderr})
-	if err != nil {
-		fatal("audit control", fmt.Errorf("clean restart refused: %v\n%s", err, fstderr.String()))
-	}
-	clF = dialFollower(follower)
-	if _, _, err := cl.Upsert(ctx, sentinel, 1); err != nil {
-		fatal("audit control", err)
-	}
-	waitRootsEqual(ctx, cl, clF, "control replication")
-	if s := fstderr.String(); strings.Contains(s, "divergence") {
-		fatal("audit control", fmt.Errorf("false alarm on clean restart:\n%s", s))
-	}
-	fmt.Println("      control: clean restart replicates, no alarm")
-	clF.Close()
-	follower.stop()
-
-	const perKind = 3
-	for trial := 0; trial < 2*perKind; trial++ {
+	// Trial 0 is the control: a clean restart must stay silent and keep
+	// replicating a sentinel write.
+	sentinel := client.Key(^uint64(0) - 1)
+	rng := rand.New(rand.NewSource(7))
+	for i, kind := range []string{"control", "checkpoint", "checkpoint", "checkpoint", "wal", "wal", "wal"} {
 		restore()
-		fstderr.Reset()
-		tamperSnap := trial < perKind
-		var target string
-		if tamperSnap {
-			target, err = tamperCheckpoint(fdir, rng)
-		} else {
-			target, err = tamperWAL(fdir, rng)
+		what, err := kind, error(nil)
+		switch kind {
+		case "checkpoint":
+			what, err = tamperCheckpoint(fdir, rng)
+		case "wal":
+			what, err = tamperWAL(fdir, rng)
 		}
 		if err != nil {
 			fatal("tamper", err)
 		}
-		trials++
-		follower, err = trySpawn(spawnOpts{shards: shards, k: k, compressors: compressors,
-			durable: true, dir: fdir, follow: primary.addr, verified: true, stderr: &fstderr})
-		if tamperSnap {
-			// Recovery itself must refuse the doctored snapshot.
-			if err == nil {
-				follower.stop()
-				fatal("audit", fmt.Errorf("tampered checkpoint %s was recovered without complaint", target))
+		f, err := startFollower()
+		if kind == "checkpoint" {
+			if err == nil || !strings.Contains(followerLog(), "state root mismatch") {
+				fatal("audit", fmt.Errorf("tampered checkpoint %s not refused by the root check (start: %v):\n%s", what, err, followerLog()))
 			}
-			if !strings.Contains(fstderr.String(), "state root mismatch") {
-				fatal("audit", fmt.Errorf("tampered checkpoint %s refused, but not by the root check:\n%s", target, fstderr.String()))
-			}
-			detected++
-			fmt.Printf("      trial %d: checkpoint tamper (%s) refused at recovery\n", trial+1, filepath.Base(target))
+			fmt.Printf("      trial %d: checkpoint tamper (%s) refused at recovery\n", i, filepath.Base(what))
 			continue
 		}
-		// WAL tamper: recovery accepts it (the CRC is valid and the
-		// root file does not cover the suffix), so detection must come
-		// from the replication root check.
 		if err != nil {
-			fatal("audit", fmt.Errorf("tampered WAL %s: follower did not start: %v\n%s", target, err, fstderr.String()))
+			fatal("audit", fmt.Errorf("%s: follower did not start: %v\n%s", what, err, followerLog()))
 		}
-		deadline := time.Now().Add(30 * time.Second)
-		for !strings.Contains(fstderr.String(), "divergence") {
-			if time.Now().After(deadline) {
-				follower.stop()
-				fatal("audit", fmt.Errorf("tampered WAL %s: no divergence alarm within 30s:\n%s", target, fstderr.String()))
-			}
-			time.Sleep(20 * time.Millisecond)
+		if kind == "wal" {
+			poll("audit", 30*time.Second, func() error {
+				if !strings.Contains(followerLog(), "divergence") {
+					return fmt.Errorf("tampered WAL %s: no divergence alarm:\n%s", what, followerLog())
+				}
+				return nil
+			})
 		}
-		// Refusal: after the alarm the follower must stop replicating.
-		clF = dialFollower(follower)
-		if _, _, err := cl.Upsert(ctx, sentinel, client.Value(100+trial)); err != nil {
+		clF := dial(f.addr)
+		v := client.Value(100 + i)
+		if _, _, err := cl.Upsert(bg, sentinel, v); err != nil {
 			fatal("audit", err)
 		}
-		time.Sleep(750 * time.Millisecond)
-		if v, err := clF.Search(ctx, sentinel); err == nil && v == client.Value(100+trial) {
-			fatal("audit", fmt.Errorf("tampered WAL %s: follower kept replicating after the alarm", target))
+		if kind == "control" {
+			rootsEqual(clF, "control replication")
+			fmt.Println("      control: clean restart replicates, no alarm")
+		} else {
+			time.Sleep(750 * time.Millisecond)
+			if got, err := clF.Search(bg, sentinel); err == nil && got == v {
+				fatal("audit", fmt.Errorf("tampered WAL %s: follower kept replicating after the alarm", what))
+			}
+			fmt.Printf("      trial %d: WAL tamper (%s) detected at a published root, replication refused\n", i, filepath.Base(what))
 		}
-		detected++
-		fmt.Printf("      trial %d: WAL tamper (%s) detected at a published root, replication refused\n",
-			trial+1, filepath.Base(target))
 		clF.Close()
-		follower.stop()
+		f.stop()
 	}
-
-	if detected != trials {
-		fatal("audit", fmt.Errorf("detected %d of %d injected tamperings", detected, trials))
-	}
-	fmt.Printf("PASS: %d/%d checksum-clean tamperings detected (%d checkpoint, %d WAL), zero false alarms\n",
-		detected, trials, perKind, perKind)
+	fmt.Println("PASS: 6/6 checksum-clean tamperings detected (3 checkpoint, 3 WAL), zero false alarms")
 }
 
-// dialFollower connects to a just-spawned follower child.
-func dialFollower(c *child) *client.Client {
-	cl, err := client.Dial(c.addr, client.Options{Conns: 1})
-	if err != nil {
-		fatal("dial follower", err)
-	}
-	return cl
-}
-
-// waitRootsEqual polls until the follower has converged on the primary
-// — both quiescent, so equality of the two served state roots is the
-// strongest possible statement: byte-identical logical content.
-func waitRootsEqual(ctx context.Context, cl, clF *client.Client, what string) {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		pr, err1 := cl.Root(ctx)
-		fr, err2 := clF.Root(ctx)
-		if err1 == nil && err2 == nil && pr == fr {
-			return
-		}
-		if time.Now().After(deadline) {
-			fatal("audit", fmt.Errorf("%s: roots did not converge (primary %x follower %x, errs %v %v)",
-				what, pr[:8], fr[:8], err1, err2))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// tamperCheckpoint flips one value byte in one pair of one shard's
-// checkpoint snapshot and REWRITES the footer CRC so the file is
-// checksum-valid: only the Merkle root can tell it changed. Returns
-// the path tampered with.
+// tamperCheckpoint flips one value byte of one pair in a checkpoint
+// snapshot and rewrites the footer CRC, so only the Merkle root can
+// tell. It returns the file tampered with.
 func tamperCheckpoint(dir string, rng *rand.Rand) (string, error) {
 	const headerLen, pairLen, footerLen = 16, 16, 12
-	path, err := pickFile(dir, "checkpoint-", ".snap", headerLen+pairLen+footerLen)
-	if err != nil {
-		return "", err
-	}
-	b, err := os.ReadFile(path)
+	path, b, err := pickFile(dir, "checkpoint-", ".snap", headerLen+pairLen+footerLen)
 	if err != nil {
 		return "", err
 	}
 	pairs := (len(b) - headerLen - footerLen) / pairLen
-	i := rng.Intn(pairs)
-	b[headerLen+i*pairLen+8+rng.Intn(8)] ^= 0xff // a value byte
-	// The footer CRC covers header + pairs (the count field is outside
-	// it — see internal/snap).
-	crc := crc32.ChecksumIEEE(b[:len(b)-footerLen])
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc)
+	b[headerLen+rng.Intn(pairs)*pairLen+8+rng.Intn(8)] ^= 0xff
+	// The footer CRC covers header and pairs (see internal/snap).
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-footerLen]))
 	return path, os.WriteFile(path, b, 0o644)
 }
 
-// tamperWAL flips one value byte in one record of one shard's WAL
-// segment and recomputes that record's CRC-32C, so replay accepts it
-// and recovery succeeds with silently diverged state. Returns the path
-// tampered with.
+// tamperWAL flips one value byte of one record in a WAL segment and
+// recomputes the record's CRC-32C, so replay accepts it and recovery
+// succeeds with silently diverged state. It returns the file tampered
+// with.
 func tamperWAL(dir string, rng *rand.Rand) (string, error) {
 	const segHeaderLen, recHeaderLen, payloadLen = 16, 8, 17
 	const recLen = recHeaderLen + payloadLen
-	path, err := pickFile(dir, "wal-", ".seg", segHeaderLen+recLen)
+	path, b, err := pickFile(dir, "wal-", ".seg", segHeaderLen+recLen)
 	if err != nil {
 		return "", err
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	recs := (len(b) - segHeaderLen) / recLen
-	off := segHeaderLen + rng.Intn(recs)*recLen
-	payload := b[off+recHeaderLen : off+recHeaderLen+payloadLen]
-	payload[9+rng.Intn(8)] ^= 0xff // a value byte
-	crc := crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(b[off+4:off+8], crc)
+	off := segHeaderLen + rng.Intn((len(b)-segHeaderLen)/recLen)*recLen
+	payload := b[off+recHeaderLen : off+recLen]
+	payload[9+rng.Intn(8)] ^= 0xff
+	binary.LittleEndian.PutUint32(b[off+4:off+8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
 	return path, os.WriteFile(path, b, 0o644)
 }
 
-// pickFile finds a file matching prefix/suffix of at least minSize
-// somewhere under dir (shard subdirectories included).
-func pickFile(dir, prefix, suffix string, minSize int64) (string, error) {
-	var found string
-	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil || found != "" || info.IsDir() {
-			return err
+// pickFile reads the first file in dir, or one level down, named
+// prefix…suffix with at least minSize bytes.
+func pickFile(dir, prefix, suffix string, minSize int) (string, []byte, error) {
+	top, _ := filepath.Glob(filepath.Join(dir, prefix+"*"+suffix)) // the patterns are well-formed
+	sub, _ := filepath.Glob(filepath.Join(dir, "*", prefix+"*"+suffix))
+	for _, path := range append(top, sub...) {
+		if b, err := os.ReadFile(path); err != nil || len(b) >= minSize {
+			return path, b, err
 		}
-		name := filepath.Base(path)
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) && info.Size() >= minSize {
-			found = path
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
 	}
-	if found == "" {
-		return "", fmt.Errorf("no %s*%s of at least %d bytes under %s", prefix, suffix, minSize, dir)
-	}
-	return found, nil
-}
-
-// copyDir recursively copies src into dst (created fresh).
-func copyDir(src, dst string) error {
-	return filepath.Walk(src, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(src, path)
-		if err != nil {
-			return err
-		}
-		out := filepath.Join(dst, rel)
-		if info.IsDir() {
-			return os.MkdirAll(out, 0o755)
-		}
-		in, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer in.Close()
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		if _, err := io.Copy(f, in); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	})
-}
-
-// lockedBuf is a concurrency-safe byte buffer for capturing a child
-// process's stderr while the parent polls it.
-type lockedBuf struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (l *lockedBuf) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.Write(p)
-}
-
-func (l *lockedBuf) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.b.String()
-}
-
-func (l *lockedBuf) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.b.Reset()
+	return "", nil, fmt.Errorf("no %s*%s of at least %d bytes under %s", prefix, suffix, minSize, dir)
 }

@@ -1,7 +1,7 @@
 // Durability: run an index on a group-commit write-ahead log, crash
 // nothing but still close and reopen it, checkpoint to truncate the
 // log, and watch the WAL counters — every acknowledged write survives
-// a restart (and a crash: see cmd/blinkstress -durable for the
+// a restart (and a crash: see blinkstress -scenario durable for the
 // kill-and-recover harness).
 package main
 

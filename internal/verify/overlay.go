@@ -18,13 +18,17 @@ type ScanFunc func(lo, hi uint64, fn func(k, v uint64) bool) error
 // that keeps this sound: Rehash clears a bucket's dirty flag *before*
 // scanning it, and mutators mark *after* their tree change is applied,
 // so a change that races a scan either lands in the scan or re-dirties
-// the bucket for the next pass. Nothing is ever lost.
+// the bucket for the next pass. Nothing is ever lost — provided passes
+// do not overlap: a pass that scanned a bucket before a mutation could
+// otherwise store its stale leaf over the fresh one a later pass stored,
+// after that later pass had already consumed the dirty bit. So mu is
+// held across a whole pass.
 type Overlay struct {
 	nb    int
 	scan  ScanFunc
 	dirty []atomic.Bool
 
-	mu     sync.Mutex // guards leaves
+	mu     sync.Mutex // serialises Rehash passes; guards leaves
 	leaves []Hash
 
 	// Rehashed counts buckets re-hashed since open — the /metrics
@@ -61,9 +65,11 @@ func (o *Overlay) MarkAll() {
 }
 
 // Rehash re-hashes every currently dirty bucket and reports how many
-// it did. Safe to call concurrently with mutators and with itself
-// (concurrent calls may duplicate work, never lose it).
+// it did. Safe to call concurrently with mutators and with itself;
+// concurrent calls run one after another (see Overlay).
 func (o *Overlay) Rehash() (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	done := 0
 	for b := range o.dirty {
 		if !o.dirty[b].CompareAndSwap(true, false) {
@@ -78,10 +84,7 @@ func (o *Overlay) Rehash() (int, error) {
 			o.dirty[b].Store(true) // not hashed; keep it pending
 			return done, err
 		}
-		h := leaf.Sum()
-		o.mu.Lock()
-		o.leaves[b] = h
-		o.mu.Unlock()
+		o.leaves[b] = leaf.Sum()
 		done++
 	}
 	o.Rehashed.Add(uint64(done))

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // mapScan adapts a plain map to ScanFunc for tests.
@@ -113,6 +115,72 @@ func TestIncrementalOnlyRehashesDirty(t *testing.T) {
 	}
 	if n := ov.Rehashed.Load() - before; n != 1 {
 		t.Fatalf("one mutation re-hashed %d buckets, want 1", n)
+	}
+}
+
+// TestOverlappingRehashKeepsFreshLeaf pins the lost-update race between
+// two Rehash passes (the background Hasher and a SealedRoot): pass 1
+// scans bucket b's old state and parks; a mutation re-marks b; pass 2
+// consumes the mark. If pass 2 stores its fresh leaf before pass 1
+// stores its stale one, the stale leaf survives with b clean, and every
+// later root is wrong.
+func TestOverlappingRehashKeepsFreshLeaf(t *testing.T) {
+	const nb = 4
+	lo, _ := BucketSpan(1, nb)
+	k := lo + 5
+	var mu sync.Mutex
+	m := map[uint64]uint64{k: 1, 7: 7}
+	plain := mapScan(m, &mu)
+	var park atomic.Bool
+	parked, release := make(chan struct{}), make(chan struct{})
+	ov := NewOverlay(nb, func(lo, hi uint64, fn func(k, v uint64) bool) error {
+		err := plain(lo, hi, fn)
+		if lo <= k && k <= hi && park.CompareAndSwap(true, false) {
+			close(parked)
+			<-release
+		}
+		return err
+	})
+	if _, err := ov.Root(); err != nil {
+		t.Fatal(err)
+	}
+
+	park.Store(true)
+	ov.MarkKey(k)
+	first := make(chan error, 1)
+	go func() { _, err := ov.Rehash(); first <- err }()
+	<-parked // pass 1 has read k=1 and not stored its leaf yet
+	mu.Lock()
+	m[k] = 2
+	mu.Unlock()
+	ov.MarkKey(k)
+	second := make(chan error, 1)
+	go func() { _, err := ov.Rehash(); second <- err }()
+	// Without serialisation pass 2 finishes here, which is the losing
+	// order; with it pass 2 waits for pass 1, and the timeout lets the
+	// test go on to release pass 1.
+	select {
+	case err := <-second:
+		second <- err
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	for _, c := range []chan error{first, second} {
+		if err := <-c; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	got, err := ov.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewOverlay(nb, plain).Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("root %x after overlapping passes, fresh overlay %x: a stale leaf survived", got[:8], want[:8])
 	}
 }
 
