@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -729,6 +730,12 @@ func (c *Client) dial() (*conn, error) {
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
 	nc.SetDeadline(time.Time{})
+	return c.newConn(nc, br), nil
+}
+
+// newConn wraps a connection whose hello exchange is done (br reads
+// from nc) and starts its writer and reader goroutines.
+func (c *Client) newConn(nc net.Conn, br *bufio.Reader) *conn {
 	cn := &conn{
 		nc:      nc,
 		br:      br,
@@ -739,7 +746,7 @@ func (c *Client) dial() (*conn, error) {
 	}
 	go cn.writeLoop()
 	go cn.readLoop()
-	return cn, nil
+	return cn
 }
 
 // netError wraps transport failures so do can distinguish them from
@@ -1013,6 +1020,10 @@ func (cn *conn) writeLoop() {
 		case <-cn.dead:
 			return
 		}
+		// Yield once before taking the queue, as the WAL committer does
+		// before it steals a group: callers the reader has just woken
+		// get to enqueue into this burst (see the package doc).
+		runtime.Gosched()
 		for {
 			cn.mu.Lock()
 			batch := cn.queue

@@ -106,7 +106,12 @@ func (t *Tree) buildLeafLevel(pairs func() (base.Key, base.Value, bool), per int
 			if err != nil {
 				return nil, nil, 0, err
 			}
-			cur = &node.Node{ID: id, Leaf: true}
+			// Sized to the fill up front. Grown by append, the arrays
+			// would round up to a power of two (32 slots for 22 pairs
+			// at k = 16, fill 0.7), and no later write uses the spare
+			// slots (every edit builds a fresh slice), so they would
+			// stay live heap for the node's lifetime.
+			cur = &node.Node{ID: id, Leaf: true, Keys: make([]base.Key, 0, per), Vals: make([]base.Value, 0, per)}
 			leaves = append(leaves, cur)
 		}
 		cur.Keys = append(cur.Keys, k)

@@ -57,9 +57,6 @@ func TestZeroAllocPointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllocBatchScratchReuse asserts the server-side batch path reuses
-// its per-connection scratch: a warm ApplyBatchInto of search-only
-// operations allocates nothing.
 // minAllocsPerRun returns the minimum of up to attempts measurements,
 // stopping early once one lands under target.
 func minAllocsPerRun(attempts int, target float64, measure func() float64) float64 {
@@ -72,23 +69,35 @@ func minAllocsPerRun(attempts int, target float64, measure func() float64) float
 	return best
 }
 
+// TestAllocBatchScratchReuse asserts the server-side batch path reuses
+// its per-connection scratch: a warm ApplyBatchInto of search-only
+// operations spread over all four shards — three spawned groups and one
+// inline — allocates nothing, goroutine starts included.
 func TestAllocBatchScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race (instrumented allocs, sync.Pool drops puts)")
 	}
-	r, err := shard.NewRouter(4, shard.Options{})
+	const shards, keys = 4, 64
+	r, err := shard.NewRouter(shards, shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for k := uint64(0); k < 64; k++ {
-		if err := r.Insert(base.Key(k), base.Value(k)); err != nil {
+	stride := ^uint64(0)/keys + 1 // keys 0..63 spread over the range-partitioned shards
+	for k := uint64(0); k < keys; k++ {
+		if err := r.Insert(base.Key(k*stride), base.Value(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ops := make([]shard.Op, 32)
+	groups := map[int]bool{}
 	for i := range ops {
-		ops[i] = shard.Op{Kind: shard.OpSearch, Key: base.Key(i)}
+		k := base.Key(uint64(2*i) * stride)
+		ops[i] = shard.Op{Kind: shard.OpSearch, Key: k}
+		groups[r.ShardFor(k)] = true
+	}
+	if len(groups) != shards {
+		t.Fatalf("the batch routes to %d shard groups, want %d", len(groups), shards)
 	}
 	var sc shard.BatchScratch
 	// Warm the scratch.
@@ -99,16 +108,12 @@ func TestAllocBatchScratchReuse(t *testing.T) {
 			}
 		}
 	}
-	allocs := minAllocsPerRun(3, 9, func() float64 {
+	allocs := minAllocsPerRun(3, 1, func() float64 {
 		return testing.AllocsPerRun(500, func() {
 			r.ApplyBatchInto(ops, &sc)
 		})
 	})
-	// A multi-shard batch spawns one goroutine (plus its closure) per
-	// non-inline shard group — with 4 shards that is ≤ 3 goroutine
-	// closures per batch of 32 ops. Anything materially above that
-	// means per-op state stopped being reused.
-	if allocs > 8 {
-		t.Fatalf("warm ApplyBatchInto(32 ops, 4 shards): %.2f allocs/batch, want <= 8 (goroutine spawns only)", allocs)
+	if allocs != 0 {
+		t.Fatalf("warm ApplyBatchInto(32 ops, 4 shard groups): %.2f allocs/batch, want 0", allocs)
 	}
 }

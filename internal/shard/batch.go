@@ -53,12 +53,14 @@ type Result struct {
 }
 
 // BatchScratch is the reusable working memory of ApplyBatchInto: the
-// results slice, the shard-grouping arrays and the inline group's
-// commit-ticket buffer. A zero BatchScratch is ready to use; after the
-// first batch of a given size it is warm and ApplyBatchInto allocates
-// nothing. A scratch belongs to one caller at a time (the server keeps
-// one per connection) and the returned results alias it, so they are
-// valid only until the next ApplyBatchInto with the same scratch.
+// results slice, the shard-grouping arrays, the inline group's
+// commit-ticket buffer and one prebuilt task per spawned shard group.
+// A zero BatchScratch is ready to use; once it has seen a batch of a
+// given size touching a given set of shards it is warm, and
+// ApplyBatchInto allocates nothing — multi-shard batches included. A
+// scratch belongs to one caller at a time (the server keeps one per
+// connection) and the returned results alias it, so they are valid
+// only until the next ApplyBatchInto with the same scratch.
 type BatchScratch struct {
 	results []Result
 	shardOf []int32 // destination shard per op
@@ -66,10 +68,15 @@ type BatchScratch struct {
 	counts  []int32 // per-shard group size, then fill cursor
 	starts  []int32 // per-shard offset of its bucket in idxs
 	pend    []pendingCommit
-	// wg lives here rather than as an ApplyBatchInto local: the spawn
-	// closures capture it, so a local would be moved to the heap on
-	// every batch — even single-shard batches that spawn nothing.
-	wg sync.WaitGroup
+	// tasks[s] runs shard s's group on a spawned goroutine. Each is
+	// built once and reads the batch from r and ops below, so starting
+	// a group is `go` on a stored func value with no arguments, which
+	// allocates nothing; a closure built per batch would cost two
+	// allocations per spawned group.
+	tasks []func()
+	r     *Router // the batch in flight, for tasks
+	ops   []Op
+	wg    sync.WaitGroup
 }
 
 // grow returns s resized to n int32s, reusing capacity.
@@ -151,27 +158,44 @@ func (r *Router) ApplyBatchInto(ops []Op, sc *BatchScratch) []Result {
 			break
 		}
 	}
-	wg := &sc.wg
+	sc.r, sc.ops = r, ops
 	for s := 0; s < inline; s++ {
 		if fill[s] == 0 {
 			continue
 		}
-		group := idxs[starts[s] : starts[s]+fill[s]]
-		wg.Add(1)
-		go func(s int, group []int32) {
-			defer wg.Done()
-			r.runGroup(s, group, ops, results, nil)
-		}(s, group)
+		sc.wg.Add(1)
+		go sc.task(s)()
 	}
 	if inline >= 0 {
-		group := idxs[starts[inline] : starts[inline]+fill[inline]]
+		group := sc.group(inline)
 		if cap(sc.pend) < len(group) {
 			sc.pend = make([]pendingCommit, 0, len(group))
 		}
 		r.runGroup(inline, group, ops, results, sc.pend[:0])
 	}
-	wg.Wait()
+	sc.wg.Wait()
+	sc.r, sc.ops = nil, nil // retain neither the router nor the caller's ops
 	return results
+}
+
+// group returns shard s's op indexes in the batch bucketed into sc.
+func (sc *BatchScratch) group(s int) []int32 {
+	return sc.idxs[sc.starts[s] : sc.starts[s]+sc.counts[s]]
+}
+
+// task returns the func that runs shard s's group of the batch in
+// flight, building it on first use.
+func (sc *BatchScratch) task(s int) func() {
+	if len(sc.tasks) != len(sc.r.engines) {
+		sc.tasks = make([]func(), len(sc.r.engines))
+	}
+	if sc.tasks[s] == nil {
+		sc.tasks[s] = func() {
+			sc.r.runGroup(s, sc.group(s), sc.ops, sc.results[:len(sc.ops)], nil)
+			sc.wg.Done()
+		}
+	}
+	return sc.tasks[s]
 }
 
 // runGroup applies one shard's group of a batch. pend, when non-nil,
