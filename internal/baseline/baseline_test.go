@@ -1,6 +1,7 @@
-// Package baseline_test cross-validates every concurrent index in the
-// module — Sagiv, Lehman–Yao, lock coupling, coarse — against the same
-// workloads and against each other, and asserts the lock-footprint
+// Package baseline_test cross-validates the four contenders — Sagiv,
+// Lehman–Yao and coarse, three locking protocols over the one tree in
+// internal/blink, and lock coupling with its own nodes — against the
+// same workloads and a map model, and asserts the lock-footprint
 // separation that is the paper's central quantitative claim.
 package baseline_test
 
@@ -13,7 +14,6 @@ import (
 
 	"blinktree/internal/base"
 	"blinktree/internal/baseline/coarse"
-	"blinktree/internal/baseline/lehmanyao"
 	"blinktree/internal/baseline/lockcoupling"
 	"blinktree/internal/blink"
 )
@@ -30,7 +30,7 @@ func mustTree(name string) base.Tree {
 	case "sagiv":
 		tr, err = blink.New(blink.Config{MinPairs: 4})
 	case "lehmanyao":
-		tr, err = lehmanyao.New(lehmanyao.Config{MinPairs: 4})
+		tr, err = blink.NewLehmanYao(blink.Config{MinPairs: 4})
 	case "lockcoupling":
 		tr, err = lockcoupling.New(4)
 	case "coarse":
@@ -44,31 +44,21 @@ func mustTree(name string) base.Tree {
 	return tr
 }
 
+// contenders names the four implementations mustTree builds.
+var contenders = []string{"sagiv", "lehmanyao", "lockcoupling", "coarse"}
+
 // trees builds one of each implementation at an equivalent branching
 // parameter.
-func trees(t *testing.T) map[string]base.Tree {
-	t.Helper()
-	sag, err := blink.New(blink.Config{MinPairs: 4})
-	if err != nil {
-		t.Fatal(err)
+func trees() map[string]base.Tree {
+	out := map[string]base.Tree{}
+	for _, name := range contenders {
+		out[name] = mustTree(name)
 	}
-	ly, err := lehmanyao.New(lehmanyao.Config{MinPairs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, err := lockcoupling.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co, err := coarse.New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]base.Tree{"sagiv": sag, "lehmanyao": ly, "lockcoupling": lc, "coarse": co}
+	return out
 }
 
 func TestAllTreesSequentialEquivalence(t *testing.T) {
-	for name, tr := range trees(t) {
+	for name, tr := range trees() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			model := map[base.Key]base.Value{}
@@ -132,7 +122,7 @@ func TestAllTreesSequentialEquivalence(t *testing.T) {
 }
 
 func TestAllTreesConcurrentStress(t *testing.T) {
-	for name, tr := range trees(t) {
+	for name, tr := range trees() {
 		t.Run(name, func(t *testing.T) {
 			const workers, ops = 6, 1500
 			var wg sync.WaitGroup
@@ -178,7 +168,7 @@ func TestAllTreesConcurrentStress(t *testing.T) {
 // atomic under each locking protocol, so the final value equals the
 // number of successful swaps — no lost updates, ever.
 func TestAllTreesConcurrentCASHotKey(t *testing.T) {
-	for name, tr := range trees(t) {
+	for name, tr := range trees() {
 		t.Run(name, func(t *testing.T) {
 			const hot = base.Key(400)
 			if err := tr.Insert(hot, 0); err != nil {
@@ -244,7 +234,7 @@ func TestLockFootprintSeparation(t *testing.T) {
 	const n = 4000
 
 	sag, _ := blink.New(blink.Config{MinPairs: 2})
-	ly, _ := lehmanyao.New(lehmanyao.Config{MinPairs: 2})
+	ly, _ := blink.NewLehmanYao(blink.Config{MinPairs: 2})
 	lc, _ := lockcoupling.New(2)
 
 	var wg sync.WaitGroup
@@ -289,7 +279,7 @@ func TestLehmanYaoSparseLeavesRemain(t *testing.T) {
 	// The LY deletion policy never rebalances — the space-waste defect
 	// Sagiv's compression fixes. Verify the defect is faithfully
 	// reproduced.
-	ly, _ := lehmanyao.New(lehmanyao.Config{MinPairs: 2})
+	ly, _ := blink.NewLehmanYao(blink.Config{MinPairs: 2})
 	const n = 1000
 	for i := 0; i < n; i++ {
 		if err := ly.Insert(base.Key(i), base.Value(i)); err != nil {

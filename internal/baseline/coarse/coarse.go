@@ -1,27 +1,34 @@
-// Package coarse is the zero-concurrency baseline: a sequential
-// B⁺-tree behind a single RWMutex. Readers share; any update excludes
-// everything. Every concurrent-index paper implicitly compares against
-// this floor; the gate's baseline.coarse_ops_per_s rung uses it to show
-// what the fine-grained algorithms buy.
+// Package coarse is the zero-concurrency baseline: the shared B-link
+// tree (internal/blink) behind a single RWMutex, with no node locks of
+// its own. Readers share; any update excludes everything. Every
+// concurrent-index paper implicitly compares against this floor; the
+// gate's baseline.coarse_ops_per_s rung uses it to show what the
+// fine-grained protocols buy over the same tree.
 package coarse
 
 import (
 	"sync"
 
 	"blinktree/internal/base"
-	"blinktree/internal/btree"
+	"blinktree/internal/blink"
 )
 
-// Tree is a coarsely locked B⁺-tree implementing base.Tree.
+// Tree is a coarsely locked B-link tree implementing base.Tree.
 type Tree struct {
-	mu     sync.RWMutex
-	t      *btree.Tree
-	closed bool
+	mu sync.RWMutex
+	t  *blink.Tree
 }
 
-// New returns an empty tree of minimum degree k.
+// noLocks is the tree's node lock table: the RWMutex already excludes
+// every other writer, so a node lock would exclude nothing.
+type noLocks struct{}
+
+func (noLocks) Lock(base.PageID)   {}
+func (noLocks) Unlock(base.PageID) {}
+
+// New returns an empty tree whose nodes hold between k and 2k pairs.
 func New(k int) (*Tree, error) {
-	t, err := btree.New(k)
+	t, err := blink.New(blink.Config{Locks: noLocks{}, MinPairs: k})
 	if err != nil {
 		return nil, err
 	}
@@ -32,9 +39,6 @@ func New(k int) (*Tree, error) {
 func (c *Tree) Search(k base.Key) (base.Value, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.closed {
-		return 0, base.ErrClosed
-	}
 	return c.t.Search(k)
 }
 
@@ -42,9 +46,6 @@ func (c *Tree) Search(k base.Key) (base.Value, error) {
 func (c *Tree) Insert(k base.Key, v base.Value) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return base.ErrClosed
-	}
 	return c.t.Insert(k, v)
 }
 
@@ -52,9 +53,6 @@ func (c *Tree) Insert(k base.Key, v base.Value) error {
 func (c *Tree) Delete(k base.Key) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return base.ErrClosed
-	}
 	return c.t.Delete(k)
 }
 
@@ -62,9 +60,6 @@ func (c *Tree) Delete(k base.Key) error {
 func (c *Tree) Upsert(k base.Key, v base.Value) (base.Value, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, false, base.ErrClosed
-	}
 	return c.t.Upsert(k, v)
 }
 
@@ -72,9 +67,6 @@ func (c *Tree) Upsert(k base.Key, v base.Value) (base.Value, bool, error) {
 func (c *Tree) GetOrInsert(k base.Key, v base.Value) (base.Value, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, false, base.ErrClosed
-	}
 	return c.t.GetOrInsert(k, v)
 }
 
@@ -82,9 +74,6 @@ func (c *Tree) GetOrInsert(k base.Key, v base.Value) (base.Value, bool, error) {
 func (c *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return 0, base.ErrClosed
-	}
 	return c.t.Update(k, fn)
 }
 
@@ -92,9 +81,6 @@ func (c *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, e
 func (c *Tree) CompareAndSwap(k base.Key, old, new base.Value) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return false, base.ErrClosed
-	}
 	return c.t.CompareAndSwap(k, old, new)
 }
 
@@ -102,9 +88,6 @@ func (c *Tree) CompareAndSwap(k base.Key, old, new base.Value) (bool, error) {
 func (c *Tree) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return false, base.ErrClosed
-	}
 	return c.t.CompareAndDelete(k, old)
 }
 
@@ -112,9 +95,6 @@ func (c *Tree) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
 func (c *Tree) Range(lo, hi base.Key, fn func(base.Key, base.Value) bool) error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.closed {
-		return base.ErrClosed
-	}
 	return c.t.Range(lo, hi, fn)
 }
 
@@ -129,8 +109,7 @@ func (c *Tree) Len() int {
 func (c *Tree) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	return nil
+	return c.t.Close()
 }
 
 // Check validates the underlying tree's invariants.

@@ -3,6 +3,7 @@ package baseline_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,71 +107,149 @@ func doOp(tr base.Tree, kind uint8, k base.Key) (outcome, error) {
 }
 
 // TestDifferentialAllTrees applies identical random op sequences — the
-// paper's three operations plus every conditional write — to all four
-// implementations and demands bit-identical outcomes — Theorem 1's
-// data equivalence checked across independent codebases.
+// paper's three operations plus every conditional write — to a Go map
+// model and to all four implementations, and demands that each
+// implementation's outcomes, final Len and full scan equal the model's.
+// Three of the four are protocols over one tree (internal/blink), so the
+// model, not any of them, is the independent reference.
 func TestDifferentialAllTrees(t *testing.T) {
 	type op struct {
 		Kind uint8
 		Key  uint16
 	}
 	f := func(ops []op) bool {
-		impls := trees2()
-		names := []string{"sagiv", "lehmanyao", "lockcoupling", "coarse"}
+		ref := model{}
+		impls := trees()
 		for i, o := range ops {
-			k := base.Key(o.Key % 700)
-			ref, err := doOp(impls[names[0]], o.Kind, k)
+			k := base.Key(o.Key % 128)
+			want, err := doOp(ref, o.Kind, k)
 			if err != nil {
 				return false
 			}
-			for _, name := range names[1:] {
+			for _, name := range contenders {
 				got, err := doOp(impls[name], o.Kind, k)
-				if err != nil || got != ref {
-					fmt.Printf("divergence at op %d (%v on %d): %s=%v vs %s=%v\n",
-						i, o.Kind%8, k, names[0], ref, name, got)
+				if err != nil || got != want {
+					fmt.Printf("divergence at op %d (%v on %d): model=%v vs %s=%v (err %v)\n",
+						i, o.Kind%8, k, want, name, got, err)
 					return false
 				}
 			}
 		}
 		// Final state identical: lengths and full scans (pairs, not
 		// just keys — upserted values must agree too).
-		refLen := impls[names[0]].Len()
-		var refScan []base.Item
-		_ = impls[names[0]].Range(0, 1000, func(k base.Key, v base.Value) bool {
-			refScan = append(refScan, base.Item{Key: k, Value: v})
-			return true
-		})
-		for _, name := range names[1:] {
-			if impls[name].Len() != refLen {
+		want := scan(ref)
+		for _, name := range contenders {
+			if impls[name].Len() != ref.Len() || !slices.Equal(scan(impls[name]), want) {
+				fmt.Printf("final state of %s differs from the model\n", name)
 				return false
-			}
-			var scan []base.Item
-			_ = impls[name].Range(0, 1000, func(k base.Key, v base.Value) bool {
-				scan = append(scan, base.Item{Key: k, Value: v})
-				return true
-			})
-			if len(scan) != len(refScan) {
-				return false
-			}
-			for i := range scan {
-				if scan[i] != refScan[i] {
-					return false
-				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// trees2 builds the four implementations without a *testing.T (usable
-// inside quick.Check).
-func trees2() map[string]base.Tree {
-	out := map[string]base.Tree{}
-	for _, name := range []string{"sagiv", "lehmanyao", "lockcoupling", "coarse"} {
-		out[name] = mustTree(name)
-	}
+// scan returns every pair of tr in [0, 1000] in key order.
+func scan(tr base.Tree) []base.Item {
+	var out []base.Item
+	_ = tr.Range(0, 1000, func(k base.Key, v base.Value) bool {
+		out = append(out, base.Item{Key: k, Value: v})
+		return true
+	})
 	return out
 }
+
+// model is the differential test's reference: base.Tree's contract
+// written over a Go map, sequential only.
+type model map[base.Key]base.Value
+
+func (m model) Search(k base.Key) (base.Value, error) {
+	if v, ok := m[k]; ok {
+		return v, nil
+	}
+	return 0, base.ErrNotFound
+}
+
+func (m model) Insert(k base.Key, v base.Value) error {
+	if _, ok := m[k]; ok {
+		return base.ErrDuplicate
+	}
+	m[k] = v
+	return nil
+}
+
+func (m model) Delete(k base.Key) error {
+	if _, ok := m[k]; !ok {
+		return base.ErrNotFound
+	}
+	delete(m, k)
+	return nil
+}
+
+func (m model) Upsert(k base.Key, v base.Value) (base.Value, bool, error) {
+	old, ok := m[k]
+	m[k] = v
+	return old, ok, nil
+}
+
+func (m model) GetOrInsert(k base.Key, v base.Value) (base.Value, bool, error) {
+	if old, ok := m[k]; ok {
+		return old, true, nil
+	}
+	m[k] = v
+	return v, false, nil
+}
+
+func (m model) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
+	old, ok := m[k]
+	if !ok {
+		return 0, base.ErrNotFound
+	}
+	m[k] = fn(old)
+	return m[k], nil
+}
+
+func (m model) CompareAndSwap(k base.Key, old, new base.Value) (bool, error) {
+	cur, ok := m[k]
+	if !ok {
+		return false, base.ErrNotFound
+	}
+	if cur != old {
+		return false, nil
+	}
+	m[k] = new
+	return true, nil
+}
+
+func (m model) CompareAndDelete(k base.Key, old base.Value) (bool, error) {
+	cur, ok := m[k]
+	if !ok {
+		return false, base.ErrNotFound
+	}
+	if cur != old {
+		return false, nil
+	}
+	delete(m, k)
+	return true, nil
+}
+
+func (m model) Range(lo, hi base.Key, fn func(base.Key, base.Value) bool) error {
+	keys := make([]base.Key, 0, len(m))
+	for k := range m {
+		if lo <= k && k <= hi {
+			keys = append(keys, k)
+		}
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !fn(k, m[k]) {
+			break
+		}
+	}
+	return nil
+}
+
+func (m model) Len() int     { return len(m) }
+func (m model) Close() error { return nil }

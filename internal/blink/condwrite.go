@@ -14,9 +14,10 @@ import (
 // lock is held, so the observed value and the applied write are
 // indivisible. This is exactly an insertion or deletion with one extra
 // decision spliced between "lock and re-read the leaf" and "rewrite
-// it"; the lock footprint therefore stays at the paper's bound of one,
-// and a split triggered by an upsert propagates upward through the
-// ordinary insertStep machinery (§3.1 overtaking included).
+// it"; the lock footprint therefore stays at the paper's bound of one
+// (two or three under NewLehmanYao, as for its insertions), and a split
+// triggered by an upsert propagates upward through the ordinary
+// insertStep machinery (§3.1 overtaking included).
 
 // condAction is what a conditional write decides to do with the leaf
 // once its current state is known.
@@ -237,10 +238,11 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 		return condDone, base.NilPage, res, err
 	}
 	next, err := t.insertIntoUnsafe(n, pend, stack)
-	h.Unlock(cur)
 	if err != nil {
+		h.Unlock(cur)
 		return condDone, base.NilPage, res, err
 	}
+	t.releaseSplit(h, pend, cur)
 	return condAscend, next, res, nil
 }
 

@@ -15,6 +15,7 @@ type pending struct {
 	key   base.Key
 	val   base.Value  // leaf level only
 	child base.PageID // upper levels only
+	held  base.PageID // Lehman–Yao only: the split node still locked
 	level int
 }
 
@@ -23,7 +24,8 @@ type pending struct {
 // insert-into-unsafe-root cases of Fig. 6. The defining property — and
 // the paper's central claim — is that at most one node lock is held at
 // any instant: overtaking on the way up is harmless because a level's
-// pairs only ever gain members and never reorder (§3.1).
+// pairs only ever gain members and never reorder (§3.1). A NewLehmanYao
+// tree forbids the overtaking instead and holds up to three.
 func (t *Tree) Insert(k base.Key, v base.Value) error {
 	if err := t.checkOpen(); err != nil {
 		return err
@@ -97,9 +99,29 @@ func (t *Tree) descendRetry(k base.Key, stack *[]base.PageID) (base.PageID, *nod
 // when the key turns out to lie beyond the high value, the lock is
 // dropped and the link chain is chased WITHOUT locks (procedure
 // moveright) until the next candidate.
+//
+// Under Lehman–Yao the node split one level down is still locked
+// (pend.held): the candidate is then reached by lock coupling — lock
+// the next node, then unlock this one, three locks at the peak — and
+// the child is released only once the parent is held.
 func (t *Tree) insertStep(h *locks.Holder, pend *pending, cur base.PageID, stack *[]base.PageID) (done bool, next base.PageID, err error) {
 	h.Lock(cur)
 	n, err := t.store.Get(cur)
+	if pend.held != base.NilPage {
+		for err == nil && !n.Deleted && n.HighLess(pend.key) {
+			t.stats.linkHops.Add(1)
+			if n.Link == base.NilPage {
+				err = base.ErrCorrupt
+				break
+			}
+			h.Lock(n.Link)
+			h.Unlock(cur)
+			cur = n.Link
+			n, err = t.store.Get(cur)
+		}
+		h.Unlock(pend.held)
+		pend.held = base.NilPage
+	}
 	if err != nil {
 		h.Unlock(cur)
 		return false, base.NilPage, err
@@ -139,11 +161,24 @@ func (t *Tree) insertStep(h *locks.Holder, pend *pending, cur base.PageID, stack
 		return err == nil, base.NilPage, err
 	}
 	nextID, err := t.insertIntoUnsafe(n, pend, stack)
-	h.Unlock(cur)
 	if err != nil {
+		h.Unlock(cur)
 		return false, base.NilPage, err
 	}
+	t.releaseSplit(h, pend, cur)
 	return false, nextID, nil
+}
+
+// releaseSplit gives up the lock on node id, which this insertion has
+// just split and whose separator pend now carries one level up. Sagiv's
+// insertion unlocks it before taking any other lock (§3.1); Lehman–Yao's
+// keeps it until insertStep holds the parent.
+func (t *Tree) releaseSplit(h *locks.Holder, pend *pending, id base.PageID) {
+	if t.coupled {
+		pend.held = id
+		return
+	}
+	h.Unlock(id)
 }
 
 // chaseRight performs the unlocked moveright of Fig. 4 starting from a
@@ -184,8 +219,8 @@ func (t *Tree) insertIntoSafe(n *node.Node, pend *pending) error {
 
 // insertIntoUnsafe (Fig. 6): split, writing the new right node B before
 // rewriting A (Fig. 3) so B becomes reachable exactly when A's new link
-// is published. Afterwards the lock is released — before any other lock
-// is taken — and the separator becomes the pending pair one level up.
+// is published. Afterwards the caller releases the lock (releaseSplit)
+// and the separator becomes the pending pair one level up.
 // It returns the node at which to try the next level: the popped stack
 // entry, or the leftmost node of that level when the stack is empty
 // because the tree grew while we ran (§3.2).

@@ -9,6 +9,12 @@
 // indivisible; the lock table is a single lock type that excludes other
 // lockers but never readers; readers take no locks at all and recover
 // from being overtaken by compression via restarts (§5.2).
+//
+// The baselines the paper argues against are protocols over this same
+// tree, not trees of their own: NewLehmanYao runs the comparator [8],
+// whose upward phase keeps each split node locked until it holds the
+// parent, and the coarse baseline (internal/baseline/coarse) runs this
+// tree with no node locks behind one global lock.
 package blink
 
 import (
@@ -76,8 +82,9 @@ type UnderfullEvent struct {
 	Stack []base.PageID
 }
 
-// Tree is a Sagiv B-link tree. All exported methods are safe for
-// concurrent use by any number of goroutines.
+// Tree is a Sagiv B-link tree, or a Lehman–Yao one when built by
+// NewLehmanYao. All exported methods are safe for concurrent use by any
+// number of goroutines.
 type Tree struct {
 	// Read by every operation and written (almost) never; the padding
 	// below keeps them off the lines the counters live on.
@@ -87,6 +94,9 @@ type Tree struct {
 	pol    RestartPolicy
 	rec    *reclaim.Reclaimer
 	closed atomic.Bool
+
+	// coupled selects Lehman–Yao's upward phase (NewLehmanYao).
+	coupled bool
 
 	// onUnderfull, when set via SetUnderfullHandler, is invoked (while
 	// the lock on the node is still held, per §5.4) whenever a deletion
@@ -159,6 +169,22 @@ func New(cfg Config) (*Tree, error) {
 	return t, nil
 }
 
+// NewLehmanYao creates a Tree that runs the protocol the paper improves
+// on, Lehman & Yao's [8], over the same nodes, store and lock-free
+// searches as New. Only the upward phase differs: an insertion keeps a
+// node it split locked until it holds the parent, moving right there by
+// lock coupling, so no other updater can overtake it on the way up — 2
+// or 3 locks where Sagiv's insertion holds 1. Deletions never rebalance,
+// as in [8]: the tree takes no underfull handler.
+func NewLehmanYao(cfg Config) (*Tree, error) {
+	t, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.coupled = true
+	return t, nil
+}
+
 // MinPairs returns k.
 func (t *Tree) MinPairs() int { return t.k }
 
@@ -178,8 +204,10 @@ func (t *Tree) Reclaimer() *reclaim.Reclaimer { return t.rec }
 // SetUnderfullHandler installs fn as the underfull hook; pass nil to
 // remove it. The hook runs on the deleting goroutine while the node's
 // lock is held, so it must be fast and must not acquire node locks.
+// A Lehman–Yao tree ignores it: [8] never rebalances, and a compressor's
+// top-down locks could deadlock against its bottom-up coupling.
 func (t *Tree) SetUnderfullHandler(fn func(UnderfullEvent)) {
-	if fn == nil {
+	if fn == nil || t.coupled {
 		t.onUnderfull.Store(nil)
 		return
 	}

@@ -1,7 +1,10 @@
 // Package harness holds the constructors of the four contenders the
 // paper compares — Sagiv's tree, Lehman–Yao, lock coupling and one
 // coarse lock — behind base.Tree, so bench/ (blinkbench's baseline.*
-// rungs) and the root benchmarks build them the same way.
+// rungs) and the root benchmarks build them the same way. Three of them
+// are locking protocols over the one shared tree (internal/blink):
+// Sagiv's, Lehman–Yao's (blink.NewLehmanYao) and the coarse lock. Lock
+// coupling still brings its own nodes.
 package harness
 
 import (
@@ -9,7 +12,6 @@ import (
 
 	"blinktree/internal/base"
 	"blinktree/internal/baseline/coarse"
-	"blinktree/internal/baseline/lehmanyao"
 	"blinktree/internal/baseline/lockcoupling"
 	"blinktree/internal/blink"
 	"blinktree/internal/compress"
@@ -61,7 +63,7 @@ func Build(kind Kind, k int, withCompression bool) (*Instance, error) {
 		}
 		return inst, nil
 	case KindLehmanYao:
-		tr, err := lehmanyao.New(lehmanyao.Config{MinPairs: k})
+		tr, err := blink.NewLehmanYao(blink.Config{MinPairs: k})
 		if err != nil {
 			return nil, err
 		}

@@ -433,15 +433,32 @@ func (e *Engine) applyRecord(r wal.Record) error {
 // the returned segment and replay idempotently on top. The scan runs
 // concurrently with readers AND writers.
 //
-// Compression, however, IS quiesced for the duration of the scan
-// (background workers pause; Compact/DrainCompression serialize on
-// ckptMu): a merge or redistribution can move a pair leftward across
-// the scan cursor, and a pair the fuzzy snapshot misses that way has
-// no record in the log suffix — truncating or skipping the older
-// segments would destroy the only copy of an acknowledged write.
-// Searches, inserts, deletes and conditional writes never move pairs
-// left, so they stay unblocked; deletions keep enqueueing underfull
-// nodes for repair after Resume.
+// Compression is quiesced for the duration of the scan (background
+// workers pause; Compact/DrainCompression serialize on ckptMu), though
+// the scan does not need it. A merge or redistribution can move a pair
+// leftward across the scan cursor, and a pair missed that way would
+// have no record in the log suffix. Tree.Range misses none. Compression
+// writes the node that gains pairs first, so every live node's snapshot
+// holds every pair inside its own (low, high]. The scan keeps a cursor
+// c, the smallest key not yet emitted, emits only keys ≥ c from each
+// leaf snapshot, and after a leaf sets c past its high value and reads
+// its right link. The node it reads is
+//   - live with low < c: its snapshot covers [c, high], so it holds
+//     every pair of that interval;
+//   - live with low ≥ c: the pairs in [c, low] moved left into a leaf
+//     already read, so Tree.step restarts the scan with a descent for
+//     c, which finds the node now covering c (§5.2);
+//   - deleted: merged into its left neighbour, whose outlink step
+//     follows, and whose snapshot is read under the same two rules.
+//
+// Pairs that move right land below c and are skipped, so none is
+// emitted twice. TestScanUnderCompression builds each case for Range,
+// Cursor and ReverseCursor. So the pause is not what makes the scan
+// complete; it is kept for now, at the cost of delaying §5.4 repair
+// for the length of one scan. Searches,
+// inserts, deletes and conditional writes never move pairs left, so
+// they stay unblocked; deletions keep enqueueing underfull nodes for
+// repair after Resume.
 func (e *Engine) scanLocked(fn func(base.Key, base.Value) bool) (uint64, error) {
 	seg, err := e.wal.Rotate()
 	if err != nil {
