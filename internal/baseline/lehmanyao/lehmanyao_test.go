@@ -1,3 +1,6 @@
+// Package lehmanyao tests the Lehman–Yao baseline, which is the shared
+// B-link tree run with blink.NewLehmanYao: a split node stays locked
+// until its parent is held, and deletions never rebalance.
 package lehmanyao
 
 import (
@@ -7,16 +10,17 @@ import (
 	"testing"
 
 	"blinktree/internal/base"
+	"blinktree/internal/blink"
 	"blinktree/internal/node"
 	"blinktree/internal/storage"
 )
 
 func TestBasics(t *testing.T) {
-	tr, err := New(Config{MinPairs: 2})
+	tr, err := blink.NewLehmanYao(blink.Config{MinPairs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{MinPairs: 1}); err == nil {
+	if _, err := blink.NewLehmanYao(blink.Config{MinPairs: 1}); err == nil {
 		t.Fatal("k=1 accepted")
 	}
 	if err := tr.Insert(7, 70); err != nil {
@@ -46,7 +50,10 @@ func TestBasics(t *testing.T) {
 func TestBulkOrdersAndCheck(t *testing.T) {
 	for _, name := range []string{"asc", "desc", "rand"} {
 		t.Run(name, func(t *testing.T) {
-			tr, _ := New(Config{MinPairs: 2})
+			tr, err := blink.NewLehmanYao(blink.Config{MinPairs: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
 			const n = 2000
 			keys := make([]int, n)
 			for i := range keys {
@@ -80,7 +87,10 @@ func TestBulkOrdersAndCheck(t *testing.T) {
 // TestInsertFootprintBounded: the defining LY behaviour — at most three
 // locks, and more than one whenever splits propagate.
 func TestInsertFootprintBounded(t *testing.T) {
-	tr, _ := New(Config{MinPairs: 2})
+	tr, err := blink.NewLehmanYao(blink.Config{MinPairs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -105,7 +115,10 @@ func TestInsertFootprintBounded(t *testing.T) {
 }
 
 func TestConcurrentMixed(t *testing.T) {
-	tr, _ := New(Config{MinPairs: 3})
+	tr, err := blink.NewLehmanYao(blink.Config{MinPairs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -141,7 +154,10 @@ func TestConcurrentMixed(t *testing.T) {
 }
 
 func TestRangeScan(t *testing.T) {
-	tr, _ := New(Config{MinPairs: 2})
+	tr, err := blink.NewLehmanYao(blink.Config{MinPairs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i += 3 {
 		_ = tr.Insert(base.Key(i), base.Value(i))
 	}
@@ -167,7 +183,7 @@ func TestOnPagedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := New(Config{Store: st, MinPairs: 4})
+	tr, err := blink.NewLehmanYao(blink.Config{Store: st, MinPairs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
