@@ -184,6 +184,61 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestVerifiedRestoreRoot: Restore loads pairs without logging them,
+// but a verified index must still mark their buckets, or a root taken
+// before the load stays cached and the restored index serves it.
+func TestVerifiedRestoreRoot(t *testing.T) {
+	src, err := Open(Options{Verified: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for i := 0; i < 1000; i++ {
+		if err := src.Insert(Key(i)*0x9E3779B97F4A7C15, Value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := src.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	type verifiedIndex interface {
+		Index
+		Root() ([32]byte, error)
+	}
+	for _, fe := range []struct {
+		name string
+		open func() (verifiedIndex, error)
+	}{
+		{"tree", func() (verifiedIndex, error) { return Open(Options{Verified: true}) }},
+		{"sharded", func() (verifiedIndex, error) { return OpenSharded(1, Options{Verified: true}) }},
+	} {
+		idx, err := fe.open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idx.Close()
+		empty, err := idx.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: root after Restore %x, source %x (empty %x)", fe.name, got[:8], want[:8], empty[:8])
+		}
+	}
+}
+
 func TestMinMaxPublic(t *testing.T) {
 	tr, _ := Open(Options{MinPairs: 2})
 	defer tr.Close()

@@ -243,9 +243,9 @@ func TestDurableCheckpointUnderLoad(t *testing.T) {
 // TestDurableCheckpointWithCompressionChurn checkpoints while mass
 // deletions keep background compression merging leaves — the regime
 // where a fuzzy scan could race a leftward pair move and the
-// checkpoint would silently drop an old acknowledged key (compression
-// pauses during the scan precisely to prevent that). Every operation
-// is acknowledged before Close, so recovery must be exact.
+// checkpoint would silently drop an old acknowledged key (the scan
+// restarts instead; see shard.Engine.scanLocked). Every operation is
+// acknowledged before Close, so recovery must be exact.
 func TestDurableCheckpointWithCompressionChurn(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(map[int]string{1: "tree", 4: "sharded"}[shards], func(t *testing.T) {

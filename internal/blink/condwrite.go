@@ -7,17 +7,19 @@ import (
 	"blinktree/internal/locks"
 )
 
-// Conditional writes — Upsert, GetOrInsert, Update, CompareAndSwap,
-// CompareAndDelete — are the read-modify-write surface of the tree.
-// Each is a single logical operation under the paper's protocol: one
-// descent (Fig. 4/5), one leaf lock, and the decision taken while that
-// lock is held, so the observed value and the applied write are
-// indivisible. This is exactly an insertion or deletion with one extra
-// decision spliced between "lock and re-read the leaf" and "rewrite
-// it"; the lock footprint therefore stays at the paper's bound of one
-// (two or three under NewLehmanYao, as for its insertions), and a split
-// triggered by an upsert propagates upward through the ordinary
-// insertStep machinery (§3.1 overtaking included).
+// Every leaf write is a conditional write: Insert and Delete as much as
+// the read-modify-write surface — Upsert, GetOrInsert, Update,
+// CompareAndSwap, CompareAndDelete. Each is a single logical operation
+// under the paper's protocol: one descent (Fig. 4/5), one leaf lock, and
+// a decision taken while that lock is held, so the observed value and
+// the applied write are indivisible. An insertion decides "put if
+// absent", a deletion "delete if present" — §4 makes a deletion exactly
+// an insertion without splitting — and the others splice their own
+// decision between "lock and re-read the leaf" and "rewrite it". So the
+// lock footprint stays at the paper's bound of one (two or three under
+// NewLehmanYao, as for its insertions), and a split triggered by any of
+// them propagates upward through the ordinary insertStep machinery
+// (§3.1 overtaking included).
 
 // condAction is what a conditional write decides to do with the leaf
 // once its current state is known.
@@ -63,10 +65,32 @@ func (r condResult) pairDelta() int64 {
 	return 0
 }
 
-// The counter a conditional write bumps, on its own stripe.
-func countUpsert(o *opCounters) *atomic.Uint64 { return &o.upserts }
-func countUpdate(o *opCounters) *atomic.Uint64 { return &o.updates }
-func countCAS(o *opCounters) *atomic.Uint64    { return &o.cas }
+// writeKind names the public operation a conditional write serves.
+type writeKind uint8
+
+const (
+	writeInsert writeKind = iota
+	writeDelete
+	writeUpsert // Upsert + GetOrInsert
+	writeUpdate
+	writeCAS // CompareAndSwap + CompareAndDelete
+)
+
+// counters returns the operation counter and the lock footprint a write
+// of kind w records on this stripe.
+func (o *opCounters) counters(w writeKind) (*atomic.Uint64, *locks.FootprintStats) {
+	switch w {
+	case writeInsert:
+		return &o.inserts, &o.insertFP
+	case writeDelete:
+		return &o.deletes, &o.deleteFP
+	case writeUpsert:
+		return &o.upserts, &o.condFP
+	case writeUpdate:
+		return &o.updates, &o.condFP
+	}
+	return &o.cas, &o.condFP
+}
 
 // condStatus is condStep's verdict.
 type condStatus uint8
@@ -77,20 +101,21 @@ const (
 	condAscend                   // leaf split: place pend one level up, starting at next
 )
 
-// condWrite is the shared engine: find the leaf, lock it, probe, apply.
-// It mirrors Insert's loop (Fig. 5) at the leaf level and hands any
-// split separator to the same upward propagation Insert uses.
-func (t *Tree) condWrite(k base.Key, count func(*opCounters) *atomic.Uint64, probe condProbe) (condResult, error) {
+// condWrite is the one locked leaf write: find the leaf, lock it,
+// probe, apply — procedure insert of Fig. 5 at the leaf level — then
+// hand any split separator to the upward propagation of insertStep.
+func (t *Tree) condWrite(k base.Key, kind writeKind, probe condProbe) (condResult, error) {
 	if err := t.checkOpen(); err != nil {
 		return condResult{}, err
 	}
 	sc, g := t.begin()
 	sc.h.Init(t.lt)
 	st := t.stats.of(sc)
-	count(st).Add(1)
+	count, fp := st.counters(kind)
+	count.Add(1)
 	defer func() {
 		sc.h.UnlockAll() // error-path safety; no-op on clean paths
-		st.condFP.Record(&sc.h)
+		fp.Record(&sc.h)
 		t.end(sc, g)
 	}()
 
@@ -100,7 +125,7 @@ func (t *Tree) condWrite(k base.Key, count func(*opCounters) *atomic.Uint64, pro
 	}
 
 	// Leaf phase: reach the covering leaf and apply the probe under its
-	// lock, restarting the search on wrong nodes exactly as Insert does.
+	// lock, redoing the descent on wrong nodes (§5.2).
 	var res condResult
 	var pend pending
 	restarts := 0
@@ -136,7 +161,9 @@ func (t *Tree) condWrite(k base.Key, count func(*opCounters) *atomic.Uint64, pro
 	}
 
 	// Upward phase: the leaf write is committed; what remains is the
-	// ordinary separator propagation of an unsafe insertion.
+	// separator propagation of an unsafe insertion. A restart re-finds
+	// the node at the pending level (§5.2: restart "from the root for
+	// the node at level j").
 	for restarts = 0; ; {
 		done, next, err := t.insertStep(&sc.h, &pend, cur, &sc.stack)
 		if err == nil {
@@ -159,9 +186,12 @@ func (t *Tree) condWrite(k base.Key, count func(*opCounters) *atomic.Uint64, pro
 	}
 }
 
-// condStep makes one locked attempt at leaf cur: the lock-and-recheck
-// discipline of insertStep/deleteStep with the probe's decision spliced
-// in while the single lock is held.
+// condStep makes one locked attempt at leaf cur, with the probe's
+// decision spliced in while the single lock is held. Locking follows
+// Fig. 5: the candidate is locked and re-read (it may have been split
+// between the descent's read and the lock); when the key turns out to
+// lie beyond its high value, the lock is dropped and the link chain is
+// chased without locks (moveright) to the next candidate.
 func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.PageID, stack *[]base.PageID, pend *pending) (condStatus, base.PageID, condResult, error) {
 	var res condResult
 	h.Lock(cur)
@@ -204,7 +234,10 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 			h.Unlock(cur)
 			return condDone, base.NilPage, res, err
 		}
-		// Underfull hook under the held lock, as in deleteStep (§5.4).
+		// Fire the underfull hook while still holding the lock (§5.4: "no
+		// extra lock has to be obtained in order to put A on the queue;
+		// rather, the current lock on A must be kept by the process until
+		// it puts A on the queue").
 		if fn := t.onUnderfull.Load(); fn != nil && !n2.Root && n2.Pairs() < t.k {
 			t.stats.underfullEvents.Add(1)
 			(*fn)(UnderfullEvent{
@@ -246,12 +279,49 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 	return condAscend, next, res, nil
 }
 
+// Insert stores v under k, or returns base.ErrDuplicate when k is
+// present: procedure insert of Fig. 5 with the insert-into-safe /
+// insert-into-unsafe / insert-into-unsafe-root cases of Fig. 6. The
+// defining property — and the paper's central claim — is that at most
+// one node lock is held at any instant: overtaking on the way up is
+// harmless because a level's pairs only ever gain members and never
+// reorder (§3.1). A NewLehmanYao tree forbids the overtaking instead
+// and holds up to three.
+func (t *Tree) Insert(k base.Key, v base.Value) error {
+	res, err := t.condWrite(k, writeInsert, func(_ base.Value, present bool) condOutcome {
+		if present {
+			return condOutcome{}
+		}
+		return condOutcome{action: condPut, value: v}
+	})
+	if err == nil && res.existed {
+		err = base.ErrDuplicate
+	}
+	return err
+}
+
+// Delete removes k, or returns base.ErrNotFound. Deletions follow §4:
+// locate the leaf, lock it, remove the pair by rewriting the leaf,
+// unlock — an insertion without splitting, holding one lock. No
+// rebalancing happens here; if the leaf drops below k pairs the
+// underfull hook fires while the lock is held (§5.4) and a compression
+// process takes over asynchronously.
+func (t *Tree) Delete(k base.Key) error {
+	res, err := t.condWrite(k, writeDelete, func(base.Value, bool) condOutcome {
+		return condOutcome{action: condDelete}
+	})
+	if err == nil && !res.existed {
+		err = base.ErrNotFound
+	}
+	return err
+}
+
 // Upsert stores v under k unconditionally, returning the value that
 // was stored before (and whether one existed). Unlike Search+Insert it
 // is atomic and pays a single descent: the present/absent decision is
 // taken under the one held leaf lock.
 func (t *Tree) Upsert(k base.Key, v base.Value) (old base.Value, existed bool, err error) {
-	res, err := t.condWrite(k, countUpsert, func(base.Value, bool) condOutcome {
+	res, err := t.condWrite(k, writeUpsert, func(base.Value, bool) condOutcome {
 		return condOutcome{action: condPut, value: v}
 	})
 	return res.old, res.existed, err
@@ -260,7 +330,7 @@ func (t *Tree) Upsert(k base.Key, v base.Value) (old base.Value, existed bool, e
 // GetOrInsert returns the value stored under k, inserting v first if k
 // is absent. loaded reports whether the value was already present.
 func (t *Tree) GetOrInsert(k base.Key, v base.Value) (actual base.Value, loaded bool, err error) {
-	res, err := t.condWrite(k, countUpsert, func(_ base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, writeUpsert, func(_ base.Value, present bool) condOutcome {
 		if present {
 			return condOutcome{}
 		}
@@ -282,7 +352,7 @@ func (t *Tree) GetOrInsert(k base.Key, v base.Value) (actual base.Value, loaded 
 // forces the descent to be redone before the write lands.
 func (t *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, error) {
 	var newV base.Value
-	res, err := t.condWrite(k, countUpdate, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, writeUpdate, func(cur base.Value, present bool) condOutcome {
 		if !present {
 			return condOutcome{}
 		}
@@ -303,7 +373,7 @@ func (t *Tree) Update(k base.Key, fn func(base.Value) base.Value) (base.Value, e
 // ErrNotFound when k is absent (swapped false, no error, when present
 // with a different value).
 func (t *Tree) CompareAndSwap(k base.Key, old, new base.Value) (swapped bool, err error) {
-	res, err := t.condWrite(k, countCAS, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, writeCAS, func(cur base.Value, present bool) condOutcome {
 		if !present || cur != old {
 			return condOutcome{}
 		}
@@ -321,7 +391,7 @@ func (t *Tree) CompareAndSwap(k base.Key, old, new base.Value) (swapped bool, er
 // CompareAndDelete removes k only if the stored value equals old. It
 // returns whether the deletion happened; ErrNotFound when k is absent.
 func (t *Tree) CompareAndDelete(k base.Key, old base.Value) (deleted bool, err error) {
-	res, err := t.condWrite(k, countCAS, func(cur base.Value, present bool) condOutcome {
+	res, err := t.condWrite(k, writeCAS, func(cur base.Value, present bool) condOutcome {
 		if !present || cur != old {
 			return condOutcome{}
 		}

@@ -50,7 +50,40 @@ func TestZeroAllocSearch(t *testing.T) {
 	}
 }
 
-// TestStripeLayout: a stripe is a whole number of cache lines with at
+// TestWriteAllocs pins what a leaf write allocates: the copy-on-write
+// clone of its leaf and nothing else. An insertion that does not split
+// and a deletion that leaves its leaf full enough pay 3 (the node, its
+// keys, its values); an upsert of a present key keeps the key array and
+// pays 2. The probe closure and the scratch cost nothing.
+func TestWriteAllocs(t *testing.T) {
+	tr := loadedTree(t, 20_000) // even keys of [0, 40000), leaves 70 % full
+	// Strides wider than a leaf: no leaf is written twice, so none splits
+	// or drops under k pairs.
+	ins, del, up := base.Key(1), base.Key(2), base.Key(0)
+	for _, c := range []struct {
+		name string
+		want float64
+		op   func() error
+	}{
+		{"Insert", 3, func() error { ins += 2 * 97; return tr.Insert(ins, 1) }},
+		{"Delete", 3, func() error { del += 2 * 97; return tr.Delete(del) }},
+		{"Upsert", 2, func() error { up += 2 * 89; _, _, err := tr.Upsert(up, 5); return err }},
+	} {
+		if a := testing.AllocsPerRun(200, func() {
+			if err := c.op(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}); a != c.want {
+			t.Errorf("%s allocates %v times, want %v", c.name, a, c.want)
+		}
+	}
+	if s := tr.Stats(); s.Splits != 0 {
+		t.Fatalf("%d splits: the strides no longer avoid them", s.Splits)
+	}
+	mustCheck(t, tr)
+}
+
+// TestStripeLayout:a stripe is a whole number of cache lines with at
 // least one line of padding at its end, so whatever the array's
 // alignment, two stripes' counters never share a line.
 func TestStripeLayout(t *testing.T) {

@@ -9,67 +9,14 @@ import (
 )
 
 // pending is the pair an insertion is currently trying to place: the
-// record pair at the leaf level, then (separator, new-node pointer)
-// pairs as splits ripple upward (Fig. 6).
+// record pair at the leaf level (condStep), then (separator, new-node
+// pointer) pairs as splits ripple upward (Fig. 6, insertStep).
 type pending struct {
 	key   base.Key
 	val   base.Value  // leaf level only
 	child base.PageID // upper levels only
 	held  base.PageID // Lehman–Yao only: the split node still locked
 	level int
-}
-
-// Insert stores v under k. It implements the procedure insert of
-// Fig. 5 with the insert-into-safe / insert-into-unsafe /
-// insert-into-unsafe-root cases of Fig. 6. The defining property — and
-// the paper's central claim — is that at most one node lock is held at
-// any instant: overtaking on the way up is harmless because a level's
-// pairs only ever gain members and never reorder (§3.1). A NewLehmanYao
-// tree forbids the overtaking instead and holds up to three.
-func (t *Tree) Insert(k base.Key, v base.Value) error {
-	if err := t.checkOpen(); err != nil {
-		return err
-	}
-	sc, g := t.begin()
-	sc.h.Init(t.lt)
-	st := t.stats.of(sc)
-	st.inserts.Add(1)
-	defer func() {
-		sc.h.UnlockAll() // error-path safety; no-op on clean paths
-		st.insertFP.Record(&sc.h)
-		t.end(sc, g)
-	}()
-
-	leafID, _, err := t.descendRetry(k, &sc.stack)
-	if err != nil {
-		return err
-	}
-
-	pend := pending{key: k, val: v, level: 0}
-	cur := leafID
-	for restarts := 0; ; {
-		done, next, err := t.insertStep(&sc.h, &pend, cur, &sc.stack)
-		if err == nil {
-			if done {
-				st.length.Add(1)
-				return nil
-			}
-			cur = next
-			continue
-		}
-		if !isRestart(err) {
-			return err
-		}
-		t.stats.restarts.Add(1)
-		if restarts++; restarts > maxRestarts {
-			return ErrLivelock
-		}
-		// Re-find the node at the pending level where the pair belongs
-		// (§5.2: restart "from the root for the node at level j").
-		if cur, err = t.descendToLevel(pend.key, pend.level); err != nil {
-			return err
-		}
-	}
 }
 
 // descendRetry performs movedown-and-stack, retrying on wrong-node
@@ -89,10 +36,11 @@ func (t *Tree) descendRetry(k base.Key, stack *[]base.PageID) (base.PageID, *nod
 	return base.NilPage, nil, ErrLivelock
 }
 
-// insertStep makes one attempt to place pend at node cur on pend.level.
-// It returns done=true when the insertion completed, or the next node
-// id to try at the same level, or errRestart when the search for the
-// right node must be redone.
+// insertStep makes one attempt to place the separator pend at node cur
+// on pend.level ≥ 1; the leaf level is condStep's. It returns done=true
+// when the insertion completed, or the next node id to try at the same
+// level, or errRestart when the search for the right node must be
+// redone.
 //
 // Locking follows Fig. 5 exactly: the candidate is locked and re-read
 // (it may have been split between the descent's read and the lock);
@@ -141,13 +89,6 @@ func (t *Tree) insertStep(h *locks.Holder, pend *pending, cur base.PageID, stack
 		h.Unlock(cur)
 		next, err := t.chaseRight(n, pend.key)
 		return false, next, err
-	}
-
-	if pend.level == 0 {
-		if _, dup := n.LeafFind(pend.key); dup {
-			h.Unlock(cur)
-			return false, base.NilPage, base.ErrDuplicate
-		}
 	}
 
 	if n.Pairs() < t.capacity() {

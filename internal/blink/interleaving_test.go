@@ -38,60 +38,9 @@ func buildSurgeryTree(t *testing.T, k, n int) (*Tree, *node.MemStore) {
 // the key there, without restarting.
 func TestDeletedNodeForwarding(t *testing.T) {
 	tr, st := buildSurgeryTree(t, 2, 40)
-	p, err := st.ReadPrime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Take the first two leaves A, B and merge them manually: move B's
-	// pairs into A, fix the parent, and mark B deleted with an outlink.
-	a, err := st.Get(p.Leftmost[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := st.Get(a.Link)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Thin both leaves by ordinary deletions so the surgical merge fits
-	// in one node (the underfull state compression acts on).
-	for _, k := range a.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range b.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a = mustGet(t, st, a.ID)
-	b = mustGet(t, st, b.ID)
-	// The search under test will be sent to B by a stale parent read;
-	// emulate by first capturing B's id, then merging.
+	a, b := mergeFirstLeaves(t, tr, st)
+	// The search under test is sent to B by a stale parent read.
 	bKey := b.Keys[0]
-
-	a2 := a.Clone()
-	a2.Keys = append(a2.Keys, b.Keys...)
-	a2.Vals = append(a2.Vals, b.Vals...)
-	a2.High = b.High
-	a2.Link = b.Link
-	if err := st.Put(a2); err != nil {
-		t.Fatal(err)
-	}
-	// Parent: remove separator and pointer to B. The parent of the
-	// leftmost leaf is the leftmost node one level up.
-	parent := mustGet(t, st, p.Leftmost[1])
-	idx := parent.FindChild(a.ID)
-	if idx < 0 || parent.Children[idx+1] != b.ID {
-		t.Fatalf("surgery precondition failed: %v", parent)
-	}
-	if err := st.Put(parent.RemoveSeparator(idx)); err != nil {
-		t.Fatal(err)
-	}
-	b2 := &node.Node{ID: b.ID, Leaf: true, Deleted: true, OutLink: a.ID, Low: b.Low, High: b.High}
-	if err := st.Put(b2); err != nil {
-		t.Fatal(err)
-	}
 	mustCheck(t, tr)
 
 	// A reader that reaches B directly (simulating a stale pointer)
@@ -107,6 +56,53 @@ func TestDeletedNodeForwarding(t *testing.T) {
 	if tr.Stats().OutlinkHops == 0 {
 		t.Log("note: outlink not exercised by the normal path (parent already updated) — covered by the direct searchFrom above")
 	}
+}
+
+// mergeFirstLeaves thins the first two leaves A and B of tr by ordinary
+// deletions, so that both fit in one node (the underfull state
+// compression acts on), then merges B into A by surgery: A takes B's
+// pairs, the parent loses its separator and pointer to B, and B is
+// marked deleted with an outlink to A. It returns A and B as they were
+// just before the merge.
+func mergeFirstLeaves(t *testing.T, tr *Tree, st node.Store) (a, b *node.Node) {
+	t.Helper()
+	p, err := st.ReadPrime()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a = mustGet(t, st, p.Leftmost[0])
+	b = mustGet(t, st, a.Link)
+	for _, n := range []*node.Node{a, b} {
+		for _, k := range n.Keys[1:] {
+			if err := tr.Delete(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	a = mustGet(t, st, a.ID)
+	b = mustGet(t, st, b.ID)
+
+	a2 := a.Clone()
+	a2.Keys = append(a2.Keys, b.Keys...)
+	a2.Vals = append(a2.Vals, b.Vals...)
+	a2.High = b.High
+	a2.Link = b.Link
+	// The parent of the leftmost leaf is the leftmost node one level up.
+	parent := mustGet(t, st, p.Leftmost[1])
+	idx := parent.FindChild(a.ID)
+	if idx < 0 || parent.Children[idx+1] != b.ID {
+		t.Fatalf("surgery precondition failed: %v", parent)
+	}
+	if err := st.Put(a2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(parent.RemoveSeparator(idx)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(&node.Node{ID: b.ID, Leaf: true, Deleted: true, OutLink: a.ID, Low: b.Low, High: b.High}); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 func mustGet(t *testing.T, st node.Store, id base.PageID) *node.Node {
@@ -253,43 +249,8 @@ func TestWaitForLevelWakesUp(t *testing.T) {
 // must still apply its decision against the survivor's state.
 func TestCondWriteIntoDeletedLeafRecovers(t *testing.T) {
 	tr, st := buildSurgeryTree(t, 2, 20)
-	p, _ := st.ReadPrime()
-	a := mustGet(t, st, p.Leftmost[0])
-	b := mustGet(t, st, a.Link)
-	for _, k := range a.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range b.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a = mustGet(t, st, a.ID)
-	b = mustGet(t, st, b.ID)
+	a, b := mergeFirstLeaves(t, tr, st)
 	survivorKey := b.Keys[0]
-
-	// Merge B into A by surgery (as in TestDeletedNodeForwarding).
-	a2 := a.Clone()
-	a2.Keys = append(a2.Keys, b.Keys...)
-	a2.Vals = append(a2.Vals, b.Vals...)
-	a2.High = b.High
-	a2.Link = b.Link
-	parent := mustGet(t, st, p.Leftmost[1])
-	idx := parent.FindChild(a.ID)
-	if idx < 0 || parent.Children[idx+1] != b.ID {
-		t.Fatalf("surgery precondition failed: %v", parent)
-	}
-	if err := st.Put(a2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(parent.RemoveSeparator(idx)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(&node.Node{ID: b.ID, Leaf: true, Deleted: true, OutLink: a.ID, Low: b.Low, High: b.High}); err != nil {
-		t.Fatal(err)
-	}
 
 	// Drive condStep directly at the deleted node: it must redirect
 	// through the outlink without applying the probe.
@@ -331,56 +292,29 @@ func TestCondWriteIntoDeletedLeafRecovers(t *testing.T) {
 // succeed.
 func TestInsertIntoDeletedLeafRecovers(t *testing.T) {
 	tr, st := buildSurgeryTree(t, 2, 20)
-	p, _ := st.ReadPrime()
-	a := mustGet(t, st, p.Leftmost[0])
-	b := mustGet(t, st, a.Link)
-	for _, k := range a.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range b.Keys[1:] {
-		if err := tr.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a = mustGet(t, st, a.ID)
-	b = mustGet(t, st, b.ID)
+	a, b := mergeFirstLeaves(t, tr, st)
 
-	// Merge B into A by surgery (as in TestDeletedNodeForwarding).
-	a2 := a.Clone()
-	a2.Keys = append(a2.Keys, b.Keys...)
-	a2.Vals = append(a2.Vals, b.Vals...)
-	a2.High = b.High
-	a2.Link = b.Link
-	parent := mustGet(t, st, p.Leftmost[1])
-	idx := parent.FindChild(a.ID)
-	if idx < 0 || parent.Children[idx+1] != b.ID {
-		t.Fatalf("surgery precondition failed: %v", parent)
-	}
-	if err := st.Put(a2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(parent.RemoveSeparator(idx)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(&node.Node{ID: b.ID, Leaf: true, Deleted: true, OutLink: a.ID, Low: b.Low, High: b.High}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Drive insertStep directly at the deleted node: it must redirect.
+	// Drive condStep with an insertion's probe directly at the deleted
+	// node: it must redirect through the outlink without inserting.
 	h := locks.NewHolder(tr.lt)
-	pend := &pending{key: b.Keys[0] + 1000, val: 9}
+	probed := false
+	var pend pending
 	var stack []base.PageID
-	done, next, err := tr.insertStep(h, pend, b.ID, &stack)
+	status, next, _, err := tr.condStep(h, b.Keys[0]+1000, func(_ base.Value, present bool) condOutcome {
+		probed = true
+		if present {
+			return condOutcome{}
+		}
+		return condOutcome{action: condPut, value: 9}
+	}, b.ID, &stack, &pend)
 	if err != nil && !isRestart(err) {
-		t.Fatalf("insertStep on deleted node: %v", err)
+		t.Fatalf("condStep on deleted node: %v", err)
 	}
-	if done {
-		t.Fatal("insert completed inside a deleted node")
+	if probed {
+		t.Fatal("insert probed a deleted node")
 	}
-	if err == nil && next != a.ID {
-		t.Fatalf("insertStep redirected to %d, want outlink target %d", next, a.ID)
+	if err == nil && (status != condChase || next != a.ID) {
+		t.Fatalf("condStep = (%v, %d), want chase to outlink target %d", status, next, a.ID)
 	}
 	h.UnlockAll()
 

@@ -34,9 +34,8 @@ type Compressor struct {
 	// gate lets Pause quiesce the background workers: each worker holds
 	// it shared around one compression, Pause takes it exclusively — so
 	// Pause returns only once no rearrangement is in flight and blocks
-	// new ones until Resume. Durable checkpoints need this: a fuzzy
-	// snapshot scan must not race pair movement to the left, which only
-	// compression produces.
+	// new ones until Resume. A structural Check needs this: it wants a
+	// tree that holds still.
 	gate sync.RWMutex
 
 	stats CompressorStats

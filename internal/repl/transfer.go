@@ -77,10 +77,10 @@ func (s *Source) Close() {
 
 // Bootstrap ships the shard from scratch — reset, snapshot, snapshot
 // end — and leaves the tail at the start of the resume segment. The
-// snapshot scan holds the engine's checkpoint lock and pauses its
-// background compression, so a sink that blocks on backpressure inside
-// it stalls checkpoints too — the price of never losing a pair between
-// snapshot and stream.
+// snapshot scan holds the engine's checkpoint lock, so a sink that
+// blocks on backpressure inside it stalls checkpoints too — the price
+// of never losing a pair between snapshot and stream. It pauses no
+// compression: §5.4 repair goes on under a stalled follower.
 func (s *Source) Bootstrap() error {
 	if err := s.ship(s.id, wire.FrameReset, nil, 0); err != nil {
 		return err

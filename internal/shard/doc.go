@@ -40,17 +40,14 @@
 //     records first and waits for one group commit, so a batch pays
 //     ~one fsync per touched shard, not one per operation.
 //   - ops.go: the Engine operation surface the Router and facade call.
-//     Volatile engines pass straight through to the tree; durable ones
-//     (Options.Durable + Dir) wrap each mutation in apply-under-stripe-
-//     lock + append-to-WAL + wait-for-group-commit, normalizing every
-//     outcome to a put/del record of its resolved value. Recovery
+//     Every operation, batched or not, runs one function, apply: the
+//     tree call, then the verify mark and — on a durable engine
+//     (Options.Durable + Dir), under the key's stripe lock — a put/del
+//     record of the resolved outcome appended to the WAL. Recovery
 //     (openDurable) and Checkpoint live in engine.go; the log itself
 //     is internal/wal. Checkpoint's fuzzy scan runs concurrently with
-//     searches and updates but pauses background compression
-//     (Compressor.Pause/Resume) and serializes with Compact and
-//     DrainCompression — a leftward merge could move an acknowledged
-//     pair behind the scan cursor, and truncation would then drop its
-//     only durable record.
+//     searches, updates and compression: no leftward merge can move a
+//     pair behind its cursor unseen (see Engine.scanLocked).
 //
 // Durability is per shard: each engine logs to its own segment set
 // under Dir/shard<i> and checkpoints independently, so group commit

@@ -379,7 +379,7 @@ func (e *Engine) openDurable(opts Options) error {
 			if sh != nil {
 				sh.Add(uint64(k), uint64(v))
 			}
-			return e.Tree.Insert(k, v)
+			return e.InsertDirect(k, v)
 		})
 		f.Close()
 		if err != nil {
@@ -431,18 +431,17 @@ func (e *Engine) applyRecord(r wal.Record) error {
 // in an older segment was fully applied before the scan began and is
 // captured by it, while operations racing the scan land at or above
 // the returned segment and replay idempotently on top. The scan runs
-// concurrently with readers AND writers.
+// concurrently with readers, writers and compression.
 //
-// Compression is quiesced for the duration of the scan (background
-// workers pause; Compact/DrainCompression serialize on ckptMu), though
-// the scan does not need it. A merge or redistribution can move a pair
-// leftward across the scan cursor, and a pair missed that way would
-// have no record in the log suffix. Tree.Range misses none. Compression
-// writes the node that gains pairs first, so every live node's snapshot
-// holds every pair inside its own (low, high]. The scan keeps a cursor
-// c, the smallest key not yet emitted, emits only keys ≥ c from each
-// leaf snapshot, and after a leaf sets c past its high value and reads
-// its right link. The node it reads is
+// Compression is the one process that moves pairs leftward, across the
+// scan cursor, and a pair missed that way would have no record in the
+// log suffix. Tree.Range misses none. Both compressors move pairs
+// through the same rearrange, which writes the node that gains pairs
+// first, so every live node's snapshot holds every pair inside its own
+// (low, high]. The scan keeps a cursor c, the smallest key not yet
+// emitted, emits only keys ≥ c from each leaf snapshot, and after a
+// leaf sets c past its high value and reads its right link. The node
+// it reads is
 //   - live with low < c: its snapshot covers [c, high], so it holds
 //     every pair of that interval;
 //   - live with low ≥ c: the pairs in [c, low] moved left into a leaf
@@ -453,20 +452,13 @@ func (e *Engine) applyRecord(r wal.Record) error {
 //
 // Pairs that move right land below c and are skipped, so none is
 // emitted twice. TestScanUnderCompression builds each case for Range,
-// Cursor and ReverseCursor. So the pause is not what makes the scan
-// complete; it is kept for now, at the cost of delaying §5.4 repair
-// for the length of one scan. Searches,
-// inserts, deletes and conditional writes never move pairs left, so
-// they stay unblocked; deletions keep enqueueing underfull nodes for
-// repair after Resume.
+// Cursor and ReverseCursor. So the scan pauses no compressor, and §5.4
+// repair goes on for the length of a scan, however long a slow
+// follower stretches it.
 func (e *Engine) scanLocked(fn func(base.Key, base.Value) bool) (uint64, error) {
 	seg, err := e.wal.Rotate()
 	if err != nil {
 		return 0, err
-	}
-	if e.comp != nil && e.mode == CompressionBackground {
-		e.comp.Pause()
-		defer e.comp.Resume()
 	}
 	return seg, e.Tree.Range(0, base.Key(^uint64(0)), fn)
 }
@@ -598,11 +590,9 @@ func (e *Engine) CrashWAL(partial int) {
 // Compact fully compresses the engine's tree: it drains the underfull
 // queue, runs scan passes (§5.1) until every non-root node holds at
 // least MinPairs pairs and the height is minimal, then frees retired
-// pages. On a durable engine it serializes with Checkpoint — a
-// checkpoint's state scan must not race pair movement to the left.
+// pages. It runs concurrently with checkpoints, whose state scan loses
+// no pair to compression (see scanLocked).
 func (e *Engine) Compact() error {
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
 	if e.comp != nil {
 		if err := e.comp.DrainOnce(); err != nil {
 			return err
@@ -619,13 +609,11 @@ func (e *Engine) Compact() error {
 // running full scan passes. The background workers are paused for the
 // drain, so when it returns no rearrangement is in flight and, absent
 // concurrent deletions, the structure holds still for a Check. No-op
-// when compression is off; serializes with Checkpoint like Compact.
+// when compression is off.
 func (e *Engine) DrainCompression() error {
 	if e.comp == nil {
 		return nil
 	}
-	e.ckptMu.Lock()
-	defer e.ckptMu.Unlock()
 	e.comp.Pause()
 	defer e.comp.Resume()
 	if err := e.comp.DrainOnce(); err != nil {

@@ -125,17 +125,10 @@ func (r *Router) Insert(k base.Key, v base.Value) error {
 	return r.engines[i].Insert(k, v)
 }
 
-// InsertDirect stores v under k in k's shard, bypassing the write-
-// ahead log — the loading path Restore shares with BulkLoad. Callers
-// need exclusive access and must Checkpoint afterwards to make the
-// loaded state durable (no-ops when volatile).
+// InsertDirect stores v under k in k's shard without logging it; see
+// Engine.InsertDirect.
 func (r *Router) InsertDirect(k base.Key, v base.Value) error {
-	e := r.engines[r.shardFor(k)]
-	if err := e.Tree.Insert(k, v); err != nil {
-		return err
-	}
-	e.markVerify(k)
-	return nil
+	return r.engines[r.shardFor(k)].InsertDirect(k, v)
 }
 
 // Search returns the value stored under k, or base.ErrNotFound.

@@ -159,8 +159,9 @@ func TestStreamStateRacesCheckpoint(t *testing.T) {
 // keeps the background compressors busy merging underfull nodes while
 // StreamState scans, then checks the capture protocol end to end and
 // the tree's structural invariants. Pair movement to the left during a
-// scan could make the scan skip pairs; StreamState pauses the workers
-// for exactly this reason, and this test is the regression net.
+// scan could make the scan skip pairs; StreamState does not pause the
+// workers because Tree.step restarts a scan that would (see
+// Engine.scanLocked), and this test is the regression net.
 func TestStreamStateRacesCompression(t *testing.T) {
 	r := mustRouter(t, 1, Options{MinPairs: 8, CompressorWorkers: 2, Durable: true, Dir: t.TempDir(), WALNoSync: true})
 	e := r.Engine(0)

@@ -17,8 +17,8 @@ import (
 // replication publishes, per-checkpoint root persistence with a
 // recompute-and-compare at recovery, and bucket proofs for OpProve.
 
-// markVerify flags k's bucket in the overlay. Durable mutation paths
-// call it inside the key's stripe lock, right after the tree change —
+// markVerify flags k's bucket in the overlay. On a durable engine apply
+// calls it inside the key's stripe lock, right after the tree change —
 // which is what makes SealedRoot exact: holding every stripe means no
 // applied-but-unmarked change can exist.
 func (e *Engine) markVerify(k base.Key) {

@@ -29,11 +29,10 @@
 // newest checkpoint and replays only segments at or above its id.
 // Every step is crash-safe: a crash between any two of them leaves a
 // directory that still recovers to a consistent state. The snapshot
-// scan runs concurrently with readers and writers, but the engine
-// pauses background compression for its duration (see
-// shard.Engine.Checkpoint): compression can move a pair leftward
-// across the scan cursor, and a pair missed that way would lose its
-// only durable copy when the covered segments are deleted.
+// scan runs concurrently with readers, writers and compression; why
+// compression moving a pair leftward across the scan cursor cannot
+// make it miss the pair (and so lose its only durable copy when the
+// covered segments are deleted) is argued on shard.Engine.scanLocked.
 package wal
 
 import (

@@ -41,7 +41,7 @@ func readSnapshot(idx Index, r io.Reader) error {
 	finalize := func() error { return nil }
 	switch v := idx.(type) {
 	case *Tree:
-		insert = v.eng.Tree.Insert
+		insert = v.eng.InsertDirect
 		finalize = v.eng.Checkpoint
 	case *Sharded:
 		insert = v.r.InsertDirect
