@@ -57,16 +57,7 @@ func (t *Tree) BulkLoad(pairs func() (base.Key, base.Value, bool), fill float64)
 		leftmost = append(leftmost, level[0])
 	}
 
-	// Stamp the root bit and publish the prime block.
-	rootN, err := t.store.Get(level[0])
-	if err != nil {
-		return err
-	}
-	r2 := rootN.Clone()
-	r2.Root = true
-	if err := t.store.Put(r2); err != nil {
-		return err
-	}
+	// sealChain set the root bit on the level of one node; publish it.
 	if err := t.store.WritePrime(node.Prime{
 		Root:     level[0],
 		Levels:   len(leftmost),
@@ -86,11 +77,62 @@ func (t *Tree) BulkLoad(pairs func() (base.Key, base.Value, bool), fill float64)
 	return nil
 }
 
-// buildLeafLevel consumes the sorted pair stream into packed leaves,
-// links them, and returns their ids, high bounds and the pair count.
+// nodeSizes divides the n entries of one level — a leaf level's pairs,
+// or an internal level's children, each node holding one pair fewer than
+// children — into node sizes: nodes of chunk entries and a last node of
+// the rest. A last node under k pairs merges into its predecessor when
+// the two fit one node, and otherwise takes half of their pairs.
+func (t *Tree) nodeSizes(n, chunk int, leaf bool) []int {
+	off := 1 // children minus pairs
+	if leaf {
+		off = 0
+	}
+	var sizes []int
+	for ; n > chunk; n -= chunk {
+		sizes = append(sizes, chunk)
+	}
+	if n > 0 {
+		sizes = append(sizes, n)
+	}
+	last := len(sizes) - 1
+	if last < 1 || sizes[last]-off >= t.k {
+		return sizes
+	}
+	both := sizes[last-1] + sizes[last]
+	if combined := both - off; combined > t.capacity() {
+		sizes[last] = (combined+1-off)/2 + off
+		sizes[last-1] = both - sizes[last]
+		return sizes
+	}
+	sizes[last-1] = both
+	return sizes[:last]
+}
+
+// buildLeafLevel consumes the sorted pair stream into leaves, links
+// them, and returns their ids, high bounds and the pair count. Each leaf
+// is allocated once, at its final size: pairs wait in a buffer until the
+// leaf they go to is known. nodeSizes changes only the last two leaves
+// of a level, so a buffer of 2·per pairs is enough — when it is full,
+// its first per pairs are a leaf whatever follows.
 func (t *Tree) buildLeafLevel(pairs func() (base.Key, base.Value, bool), per int) ([]base.PageID, []base.Bound, int, error) {
+	keys := make([]base.Key, 0, 2*per)
+	vals := make([]base.Value, 0, 2*per)
 	var leaves []*node.Node
-	var cur *node.Node
+	emit := func(m int) error {
+		id, err := t.store.Allocate()
+		if err != nil {
+			return err
+		}
+		n := node.New(true, m)
+		n.ID = id
+		copy(n.Keys, keys)
+		copy(n.Vals, vals)
+		n.High = base.FiniteBound(n.Keys[m-1])
+		keys = append(keys[:0], keys[m:]...)
+		vals = append(vals[:0], vals[m:]...)
+		leaves = append(leaves, n)
+		return nil
+	}
 	last := base.NegInfBound()
 	count := 0
 	for {
@@ -101,68 +143,58 @@ func (t *Tree) buildLeafLevel(pairs func() (base.Key, base.Value, bool), per int
 		if !last.Less(k) {
 			return nil, nil, 0, fmt.Errorf("%w: BulkLoad input not strictly ascending at key %d", base.ErrCorrupt, k)
 		}
-		if cur == nil || len(cur.Keys) >= per {
-			id, err := t.store.Allocate()
-			if err != nil {
+		if len(keys) == 2*per {
+			if err := emit(per); err != nil {
 				return nil, nil, 0, err
 			}
-			// Sized to the fill up front. Grown by append, the arrays
-			// would round up to a power of two (32 slots for 22 pairs
-			// at k = 16, fill 0.7), and no later write uses the spare
-			// slots (every edit builds a fresh slice), so they would
-			// stay live heap for the node's lifetime.
-			cur = &node.Node{ID: id, Leaf: true, Keys: make([]base.Key, 0, per), Vals: make([]base.Value, 0, per)}
-			leaves = append(leaves, cur)
 		}
-		cur.Keys = append(cur.Keys, k)
-		cur.Vals = append(cur.Vals, v)
+		keys, vals = append(keys, k), append(vals, v)
 		last = base.FiniteBound(k)
 		count++
 	}
+	for _, m := range t.nodeSizes(len(keys), per, true) {
+		if err := emit(m); err != nil {
+			return nil, nil, 0, err
+		}
+	}
 	if len(leaves) == 0 {
 		return nil, nil, 0, nil
-	}
-	leaves, err := t.rebalanceTailLeaf(leaves)
-	if err != nil {
-		return nil, nil, 0, err
 	}
 	ids, highs, err := t.sealChain(leaves)
 	return ids, highs, count, err
 }
 
-// rebalanceTailLeaf fixes the last leaf when it is under k pairs:
-// either merge it into its predecessor (when both fit in one node) or
-// split the combined pairs evenly.
-func (t *Tree) rebalanceTailLeaf(leaves []*node.Node) ([]*node.Node, error) {
-	if len(leaves) < 2 {
-		return leaves, nil
-	}
-	lastL, prevL := leaves[len(leaves)-1], leaves[len(leaves)-2]
-	q := len(lastL.Keys)
-	if q >= t.k {
-		return leaves, nil
-	}
-	combined := len(prevL.Keys) + q
-	if combined <= t.capacity() {
-		prevL.Keys = append(prevL.Keys, lastL.Keys...)
-		prevL.Vals = append(prevL.Vals, lastL.Vals...)
-		if err := t.store.Free(lastL.ID); err != nil {
-			return nil, err
+// buildInternalLevel builds one internal level over children (with
+// their high bounds, parallel slices) and returns the new level. The
+// separators are the children's high values — exactly the Fig. 2
+// sequence — and a node's high value is its last child's.
+func (t *Tree) buildInternalLevel(children []base.PageID, highs []base.Bound, per int) ([]base.PageID, []base.Bound, error) {
+	var nodes []*node.Node
+	i := 0
+	for _, m := range t.nodeSizes(len(children), per+1, false) {
+		id, err := t.store.Allocate()
+		if err != nil {
+			return nil, nil, err
 		}
-		return leaves[:len(leaves)-1], nil
+		n := node.New(false, m-1)
+		n.ID = id
+		copy(n.Children, children[i:i+m])
+		for j, sep := range highs[i : i+m-1] {
+			if !sep.IsFinite() {
+				return nil, nil, fmt.Errorf("%w: non-finite separator during bulk load", base.ErrCorrupt)
+			}
+			n.Keys[j] = sep.K
+		}
+		n.High = highs[i+m-1]
+		nodes = append(nodes, n)
+		i += m
 	}
-	need := (combined+1)/2 - q
-	cut := len(prevL.Keys) - need
-	lastL.Keys = append(append([]base.Key(nil), prevL.Keys[cut:]...), lastL.Keys...)
-	lastL.Vals = append(append([]base.Value(nil), prevL.Vals[cut:]...), lastL.Vals...)
-	prevL.Keys = prevL.Keys[:cut]
-	prevL.Vals = prevL.Vals[:cut]
-	return leaves, nil
+	return t.sealChain(nodes)
 }
 
-// sealChain sets low/high bounds and right links across a finished
-// level (leaf highs are their largest key, §2.1's creation rule; the
-// rightmost node gets +∞/nil) and writes every node.
+// sealChain sets low bounds and right links across a finished level
+// (the rightmost node gets +∞/nil, and is the root when it is the only
+// one) and writes every node.
 func (t *Tree) sealChain(nodes []*node.Node) ([]base.PageID, []base.Bound, error) {
 	ids := make([]base.PageID, len(nodes))
 	highs := make([]base.Bound, len(nodes))
@@ -170,14 +202,11 @@ func (t *Tree) sealChain(nodes []*node.Node) ([]base.PageID, []base.Bound, error
 	for i, n := range nodes {
 		n.Low = low
 		if i < len(nodes)-1 {
-			if n.Leaf {
-				n.High = base.FiniteBound(n.Keys[len(n.Keys)-1])
-			}
-			// Internal nodes had High set when they were closed.
 			n.Link = nodes[i+1].ID
 		} else {
 			n.High = base.PosInfBound()
 			n.Link = base.NilPage
+			n.Root = i == 0
 		}
 		low = n.High
 		if err := t.store.Put(n); err != nil {
@@ -187,82 +216,4 @@ func (t *Tree) sealChain(nodes []*node.Node) ([]base.PageID, []base.Bound, error
 		highs[i] = n.High
 	}
 	return ids, highs, nil
-}
-
-// buildInternalLevel packs one internal level over children (with their
-// high bounds, parallel slices) and returns the new level.
-func (t *Tree) buildInternalLevel(children []base.PageID, highs []base.Bound, per int) ([]base.PageID, []base.Bound, error) {
-	var nodes []*node.Node
-	var cur *node.Node
-	for i, child := range children {
-		if cur != nil && len(cur.Keys) < per {
-			// The separator before this child is the previous child's
-			// high value — exactly the Fig. 2 sequence.
-			sep := highs[i-1]
-			if !sep.IsFinite() {
-				return nil, nil, fmt.Errorf("%w: non-finite separator during bulk load", base.ErrCorrupt)
-			}
-			cur.Keys = append(cur.Keys, sep.K)
-			cur.Children = append(cur.Children, child)
-			continue
-		}
-		if cur != nil {
-			cur.High = highs[i-1] // closes at the boundary separator
-		}
-		id, err := t.store.Allocate()
-		if err != nil {
-			return nil, nil, err
-		}
-		cur = &node.Node{ID: id, Children: []base.PageID{child}}
-		nodes = append(nodes, cur)
-	}
-	nodes, err := t.rebalanceTailInternal(nodes)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t.sealChain(nodes)
-}
-
-// rebalanceTailInternal fixes the last internal node when it is under k
-// separators: merge into the predecessor (pulling the boundary
-// separator down) when everything fits, otherwise move separators and
-// children across so both halves hold ≥ k.
-func (t *Tree) rebalanceTailInternal(nodes []*node.Node) ([]*node.Node, error) {
-	if len(nodes) < 2 {
-		return nodes, nil
-	}
-	lastN, prevN := nodes[len(nodes)-1], nodes[len(nodes)-2]
-	q := len(lastN.Keys)
-	if q >= t.k {
-		return nodes, nil
-	}
-	// The boundary separator between the two nodes is prevN.High (set
-	// when prevN was closed); merging or rebalancing pulls it down.
-	boundary := prevN.High
-	if !boundary.IsFinite() {
-		return nil, fmt.Errorf("%w: non-finite boundary during bulk load", base.ErrCorrupt)
-	}
-	combined := len(prevN.Keys) + 1 + q
-	if combined <= t.capacity() {
-		prevN.Keys = append(append(prevN.Keys, boundary.K), lastN.Keys...)
-		prevN.Children = append(prevN.Children, lastN.Children...)
-		prevN.High = base.Bound{} // reopened; sealChain/next close sets it
-		if err := t.store.Free(lastN.ID); err != nil {
-			return nil, err
-		}
-		return nodes[:len(nodes)-1], nil
-	}
-	// Split the combined sequence so lastN ends with target keys.
-	target := combined / 2
-	need := target - q // separators to add to lastN (≥ 1)
-	cut := len(prevN.Keys) - need
-	newBoundary := prevN.Keys[cut]
-	movedKeys := append([]base.Key(nil), prevN.Keys[cut+1:]...)
-	movedKids := append([]base.PageID(nil), prevN.Children[cut+1:]...)
-	lastN.Keys = append(append(movedKeys, boundary.K), lastN.Keys...)
-	lastN.Children = append(movedKids, lastN.Children...)
-	prevN.Keys = prevN.Keys[:cut]
-	prevN.Children = prevN.Children[:cut+1]
-	prevN.High = base.FiniteBound(newBoundary)
-	return nodes, nil
 }

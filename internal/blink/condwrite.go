@@ -217,7 +217,10 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 		return condChase, next, res, err
 	}
 
-	res.old, res.existed = n.LeafFind(k)
+	i, existed := n.Index(k)
+	if existed {
+		res.old, res.existed = n.Val(i), true
+	}
 	out := probe(res.old, res.existed)
 	if out.action == condDelete && !res.existed {
 		out.action = condNoop // deleting an absent key is a no-op
@@ -251,10 +254,10 @@ func (t *Tree) condStep(h *locks.Holder, k base.Key, probe condProbe, cur base.P
 		return condDone, base.NilPage, res, nil
 	}
 
-	// condPut.
+	// condPut. Overwriting a present key's value changes one word of the
+	// leaf, so it is stored in place, under the lock, with no new version.
 	if res.existed {
-		n2 := n.SetLeafValue(k, out.value)
-		err := t.store.Put(n2)
+		err := t.store.SetValue(n, i, out.value)
 		h.Unlock(cur)
 		return condDone, base.NilPage, res, err
 	}

@@ -75,7 +75,7 @@ func (c *Cursor) step() (base.Key, base.Value, bool, error) {
 			if k < c.next {
 				continue
 			}
-			v := c.leaf.Vals[i]
+			v := c.leaf.Val(i)
 			if k == base.Key(^uint64(0)) {
 				c.done = true // maximum key: nothing can follow
 			} else {

@@ -50,11 +50,11 @@ func TestZeroAllocSearch(t *testing.T) {
 	}
 }
 
-// TestWriteAllocs pins what a leaf write allocates: the copy-on-write
-// clone of its leaf and nothing else. An insertion that does not split
-// and a deletion that leaves its leaf full enough pay 3 (the node, its
-// keys, its values); an upsert of a present key keeps the key array and
-// pays 2. The probe closure and the scratch cost nothing.
+// TestWriteAllocs pins what a leaf write allocates. An insertion that
+// does not split and a deletion that leaves its leaf full enough pay 1:
+// the new version of the leaf, header, keys and values in one block. An
+// upsert of a present key stores its value into the leaf in place and
+// pays nothing. The probe closure and the scratch cost nothing.
 func TestWriteAllocs(t *testing.T) {
 	tr := loadedTree(t, 20_000) // even keys of [0, 40000), leaves 70 % full
 	// Strides wider than a leaf: no leaf is written twice, so none splits
@@ -65,9 +65,9 @@ func TestWriteAllocs(t *testing.T) {
 		want float64
 		op   func() error
 	}{
-		{"Insert", 3, func() error { ins += 2 * 97; return tr.Insert(ins, 1) }},
-		{"Delete", 3, func() error { del += 2 * 97; return tr.Delete(del) }},
-		{"Upsert", 2, func() error { up += 2 * 89; _, _, err := tr.Upsert(up, 5); return err }},
+		{"Insert", 1, func() error { ins += 2 * 97; return tr.Insert(ins, 1) }},
+		{"Delete", 1, func() error { del += 2 * 97; return tr.Delete(del) }},
+		{"Upsert", 0, func() error { up += 2 * 89; _, _, err := tr.Upsert(up, 5); return err }},
 	} {
 		if a := testing.AllocsPerRun(200, func() {
 			if err := c.op(); err != nil {

@@ -220,14 +220,11 @@ func (t *Tree) insertIntoUnsafeRoot(n *node.Node, pend *pending) error {
 	if err := t.store.Put(left); err != nil {
 		return err
 	}
-	root := &node.Node{
-		ID:       rootID,
-		Root:     true,
-		Low:      base.NegInfBound(),
-		High:     base.PosInfBound(),
-		Keys:     []base.Key{sep},
-		Children: []base.PageID{n.ID, newID},
-	}
+	root := node.New(false, 1)
+	root.ID, root.Root = rootID, true
+	root.Low, root.High = base.NegInfBound(), base.PosInfBound()
+	root.Keys[0] = sep
+	root.Children[0], root.Children[1] = n.ID, newID
 	if err := t.store.Put(root); err != nil {
 		return err
 	}

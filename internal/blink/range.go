@@ -9,11 +9,14 @@ import (
 // chain through the right links — the sequential-traversal property the
 // links were originally added for (§2.1 footnote 3).
 //
-// Concurrent-mutation semantics: each visited leaf is an atomic
-// snapshot, and the scan never emits a key twice or out of order, but
-// pairs inserted or deleted concurrently with the scan may or may not
-// appear. (The paper's serializability theorem covers point operations;
-// scans get this weaker, still-monotonic guarantee.)
+// Concurrent-mutation semantics: the scan never emits a key twice or
+// out of order, and each emitted value is one the pair held during the
+// visit to its leaf, read in key order (an overwrite stores a value in
+// place, so two values of one leaf may straddle it — as two values of
+// neighbouring leaves always could). Pairs inserted or deleted
+// concurrently with the scan may or may not appear. (The paper's
+// serializability theorem covers point operations; scans get this
+// weaker, still-monotonic guarantee.)
 func (t *Tree) Range(lo, hi base.Key, fn func(base.Key, base.Value) bool) error {
 	if err := t.checkOpen(); err != nil {
 		return err
@@ -59,7 +62,7 @@ func (t *Tree) scanFrom(cursor *base.Key, hi base.Key, fn func(base.Key, base.Va
 			if k > hi {
 				return true, nil
 			}
-			if !fn(k, n.Vals[i]) {
+			if !fn(k, n.Val(i)) {
 				return true, nil
 			}
 			if k == base.Key(^uint64(0)) {
@@ -154,5 +157,5 @@ func (t *Tree) maxOnce() (base.Key, base.Value, error) {
 		return rk, rv, nil
 	}
 	i := len(n.Keys) - 1
-	return n.Keys[i], n.Vals[i], nil
+	return n.Keys[i], n.Val(i), nil
 }

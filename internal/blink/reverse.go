@@ -84,7 +84,7 @@ func (c *ReverseCursor) step() (base.Key, base.Value, bool, error) {
 			if k > c.next {
 				continue
 			}
-			v := c.leaf.Vals[i]
+			v := c.leaf.Val(i)
 			if k == 0 {
 				c.done = true // minimum key: nothing can precede it
 			} else {

@@ -148,13 +148,9 @@ func New(cfg Config) (*Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		root := &node.Node{
-			ID:   id,
-			Leaf: true,
-			Root: true,
-			Low:  base.NegInfBound(),
-			High: base.PosInfBound(),
-		}
+		root := node.New(true, 0)
+		root.ID, root.Root = id, true
+		root.Low, root.High = base.NegInfBound(), base.PosInfBound()
 		if err := t.store.Put(root); err != nil {
 			return nil, err
 		}

@@ -80,16 +80,11 @@ func rearrange(st node.Store, h *locks.Holder, f *node.Node, idx int, a, b *node
 // with an outlink to A (§5.2 case 1 + the [4] forwarding-pointer
 // technique). Write order: A (gains data), F, B.
 func merge(st node.Store, h *locks.Holder, f *node.Node, idx int, a, b *node.Node) (rearrangeResult, error) {
-	a2 := a.Clone()
-	if a.Leaf {
-		a2.Keys = append(a2.Keys, b.Keys...)
-		a2.Vals = append(a2.Vals, b.Vals...)
-	} else {
-		// Pull the separator down between the two key runs.
-		a2.Keys = append(a2.Keys, f.Keys[idx])
-		a2.Keys = append(a2.Keys, b.Keys...)
-		a2.Children = append(a2.Children, b.Children...)
-	}
+	keys := keyRuns(f, idx, a, b)
+	a2 := rebuilt(a, len(keys[0])+len(keys[1])+len(keys[2]))
+	span(a2.Keys, 0, keys[:]...)
+	span(a2.Vals, 0, a.Vals, b.Vals)
+	span(a2.Children, 0, a.Children, b.Children)
 	a2.High = b.High
 	a2.Link = b.Link
 
@@ -135,28 +130,24 @@ func merge(st node.Store, h *locks.Holder, f *node.Node, idx int, a, b *node.Nod
 // confines the wrong-node hazard to the "data moved left, reader holds
 // stale B" case that the low-value check detects.
 func redistribute(st node.Store, h *locks.Holder, f *node.Node, idx int, a, b *node.Node) (rearrangeResult, error) {
-	var a2, b2 *node.Node
-	var newSep base.Key
-
-	if a.Leaf {
-		keys := append(append([]base.Key(nil), a.Keys...), b.Keys...)
-		vals := append(append([]base.Value(nil), a.Vals...), b.Vals...)
-		m := (len(keys) + 1) / 2
-		newSep = keys[m-1]
-		a2, b2 = a.Clone(), b.Clone()
-		a2.Keys, a2.Vals = keys[:m:m], vals[:m:m]
-		b2.Keys, b2.Vals = keys[m:], vals[m:]
-	} else {
-		// Combined sequence with the old separator in the middle.
-		keys := append(append([]base.Key(nil), a.Keys...), f.Keys[idx])
-		keys = append(keys, b.Keys...)
-		kids := append(append([]base.PageID(nil), a.Children...), b.Children...)
-		m := len(keys) / 2 // keys[m] becomes the new separator
-		newSep = keys[m]
-		a2, b2 = a.Clone(), b.Clone()
-		a2.Keys, a2.Children = keys[:m:m], kids[:m+1:m+1]
-		b2.Keys, b2.Children = keys[m+1:], kids[m+1:]
+	// A keeps the first m keys of the combined sequence. B's start after
+	// them, or, between internal nodes, after the one that moves up.
+	keys := keyRuns(f, idx, a, b)
+	n := len(keys[0]) + len(keys[1]) + len(keys[2])
+	m, up := (n+1)/2, 0
+	if !a.Leaf {
+		m, up = n/2, 1
 	}
+	a2, b2 := rebuilt(a, m), rebuilt(b, n-m-up)
+	span(a2.Keys, 0, keys[:]...)
+	span(b2.Keys, m+up, keys[:]...)
+	var sep [1]base.Key // the leaf separator stays in A; an internal one moves up
+	span(sep[:], m-1+up, keys[:]...)
+	newSep := sep[0]
+	span(a2.Vals, 0, a.Vals, b.Vals)
+	span(b2.Vals, m, a.Vals, b.Vals)
+	span(a2.Children, 0, a.Children, b.Children)
+	span(b2.Children, m+1, a.Children, b.Children)
 	a2.High = base.FiniteBound(newSep)
 	b2.Low = base.FiniteBound(newSep)
 
@@ -194,4 +185,36 @@ func redistribute(st node.Store, h *locks.Holder, f *node.Node, idx int, a, b *n
 		survivor: a2,
 		deleted:  base.NilPage,
 	}, nil
+}
+
+// keyRuns returns A's and B's keys as one sequence of runs, with the old
+// separator between them when the nodes are internal.
+func keyRuns(f *node.Node, idx int, a, b *node.Node) [3][]base.Key {
+	if a.Leaf {
+		return [3][]base.Key{a.Keys, b.Keys}
+	}
+	return [3][]base.Key{a.Keys, f.Keys[idx : idx+1], b.Keys}
+}
+
+// span fills dst with the elements from index from on of the runs taken
+// as one sequence, so a rebuilt node is copied straight out of the two
+// it replaces.
+func span[T any](dst []T, from int, runs ...[]T) {
+	for _, r := range runs {
+		if from >= len(r) {
+			from -= len(r)
+			continue
+		}
+		dst = dst[copy(dst, r[from:]):]
+		from = 0
+	}
+}
+
+// rebuilt returns a new version of n in one block: n's header, and
+// nkeys keys and their values or children for the caller to fill.
+func rebuilt(n *node.Node, nkeys int) *node.Node {
+	c := node.New(n.Leaf, nkeys)
+	c.ID, c.Root, c.Deleted, c.OutLink = n.ID, n.Root, n.Deleted, n.OutLink
+	c.Low, c.High, c.Link = n.Low, n.High, n.Link
+	return c
 }

@@ -141,7 +141,8 @@ func encode(n *Node, buf []byte) {
 	}
 }
 
-// Decode parses a node image. id is the page it was read from.
+// Decode parses a node image into a fresh node, one block. id is the
+// page it was read from.
 func Decode(id base.PageID, buf []byte) (*Node, error) {
 	if len(buf) < headerSize || [4]byte(buf[0:4]) != magic {
 		return nil, fmt.Errorf("%w: page %d has no node magic", base.ErrCorrupt, id)
@@ -150,28 +151,19 @@ func Decode(id base.PageID, buf []byte) (*Node, error) {
 	if flags&flagPrime != 0 {
 		return nil, fmt.Errorf("%w: page %d is a prime block", base.ErrCorrupt, id)
 	}
-	n := &Node{
-		ID:      id,
-		Leaf:    flags&flagLeaf != 0,
-		Root:    flags&flagRoot != 0,
-		Deleted: flags&flagDeleted != 0,
-		Link:    base.PageID(binary.LittleEndian.Uint32(buf[24:])),
-		OutLink: base.PageID(binary.LittleEndian.Uint32(buf[28:])),
-	}
-	if flags&flagLowFinite != 0 {
-		n.Low = base.FiniteBound(base.Key(binary.LittleEndian.Uint64(buf[8:])))
-	}
+	leaf := flags&flagLeaf != 0
+	var high base.Bound
 	switch {
 	case flags&flagHighFinite != 0:
-		n.High = base.FiniteBound(base.Key(binary.LittleEndian.Uint64(buf[16:])))
+		high = base.FiniteBound(base.Key(binary.LittleEndian.Uint64(buf[16:])))
 	case flags&flagHighPosInf != 0:
-		n.High = base.PosInfBound()
+		high = base.PosInfBound()
 	default:
 		return nil, fmt.Errorf("%w: page %d high bound is -inf", base.ErrCorrupt, id)
 	}
 	nkeys := int(binary.LittleEndian.Uint16(buf[6:]))
 	need := headerSize + nkeys*8
-	if n.Leaf {
+	if leaf {
 		need += nkeys * 8
 	} else {
 		need += (nkeys + 1) * 4
@@ -179,20 +171,26 @@ func Decode(id base.PageID, buf []byte) (*Node, error) {
 	if len(buf) < need {
 		return nil, fmt.Errorf("%w: page %d truncated (%d < %d)", base.ErrCorrupt, id, len(buf), need)
 	}
+	n := New(leaf, nkeys)
+	n.ID, n.High = id, high
+	n.Root = flags&flagRoot != 0
+	n.Deleted = flags&flagDeleted != 0
+	n.Link = base.PageID(binary.LittleEndian.Uint32(buf[24:]))
+	n.OutLink = base.PageID(binary.LittleEndian.Uint32(buf[28:]))
+	if flags&flagLowFinite != 0 {
+		n.Low = base.FiniteBound(base.Key(binary.LittleEndian.Uint64(buf[8:])))
+	}
 	off := headerSize
-	n.Keys = make([]base.Key, nkeys)
 	for i := range n.Keys {
 		n.Keys[i] = base.Key(binary.LittleEndian.Uint64(buf[off:]))
 		off += 8
 	}
-	if n.Leaf {
-		n.Vals = make([]base.Value, nkeys)
+	if leaf {
 		for i := range n.Vals {
 			n.Vals[i] = base.Value(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
 	} else {
-		n.Children = make([]base.PageID, nkeys+1)
 		for i := range n.Children {
 			n.Children[i] = base.PageID(binary.LittleEndian.Uint32(buf[off:]))
 			off += 4

@@ -20,12 +20,6 @@ func refInsertLeafPair(n *Node, k base.Key, v base.Value) *Node {
 	return c
 }
 
-func refSetLeafValue(n *Node, k base.Key, v base.Value) *Node {
-	c := n.Clone()
-	c.Vals[findKey(n.Keys, k)] = v
-	return c
-}
-
 func refDeleteLeafPair(n *Node, k base.Key) *Node {
 	i := findKey(n.Keys, k)
 	c := n.Clone()
@@ -125,7 +119,6 @@ func TestEditsMatchCloneThenEdit(t *testing.T) {
 		}
 		if len(leaf.Keys) > 0 {
 			k := leaf.Keys[rng.Intn(len(leaf.Keys))]
-			check("SetLeafValue", before, leaf, leaf.SetLeafValue(k, v), refSetLeafValue(leaf, k, v))
 			check("DeleteLeafPair", before, leaf, leaf.DeleteLeafPair(k), refDeleteLeafPair(leaf, k))
 		}
 
@@ -149,9 +142,9 @@ func TestEditsMatchCloneThenEdit(t *testing.T) {
 	}
 }
 
-// TestEditAllocs: an edit allocates the node and the slices it changes,
-// each once at its final size: three objects, two for SetLeafValue,
-// which shares the key slice it leaves alone.
+// TestEditAllocs: an edit allocates its result once, at its final size:
+// one block holding the header, the keys and the values or children. A
+// split allocates its two halves.
 func TestEditAllocs(t *testing.T) {
 	leaf := &Node{ID: 1, Leaf: true, Low: base.NegInfBound(), High: base.PosInfBound()}
 	in := &Node{ID: 2, Low: base.NegInfBound(), High: base.PosInfBound(), Children: []base.PageID{1}}
@@ -167,11 +160,12 @@ func TestEditAllocs(t *testing.T) {
 		want float64
 		edit func()
 	}{
-		{"InsertLeafPair", 3, func() { sink = leaf.InsertLeafPair(21, 1) }},
-		{"DeleteLeafPair", 3, func() { sink = leaf.DeleteLeafPair(20) }},
-		{"SetLeafValue", 2, func() { sink = leaf.SetLeafValue(20, 7) }},
-		{"InsertSeparator", 3, func() { sink, _ = in.InsertSeparator(21, 99) }},
-		{"RemoveSeparator", 3, func() { sink = in.RemoveSeparator(5) }},
+		{"Clone", 1, func() { sink = leaf.Clone() }},
+		{"InsertLeafPair", 1, func() { sink = leaf.InsertLeafPair(21, 1) }},
+		{"DeleteLeafPair", 1, func() { sink = leaf.DeleteLeafPair(20) }},
+		{"InsertSeparator", 1, func() { sink, _ = in.InsertSeparator(21, 99) }},
+		{"RemoveSeparator", 1, func() { sink = in.RemoveSeparator(5) }},
+		{"Split", 2, func() { sink, _, _ = leaf.Split(99) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.edit); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)

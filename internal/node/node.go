@@ -5,10 +5,16 @@
 // (§5.1), plus the prime block (§3.3), the fixed-size page codec, and
 // two node stores (in-memory and paged-over-storage).
 //
-// Nodes are immutable snapshots: a Node obtained from a Store must never
-// be mutated. To change a node, Clone it, edit the copy, and Put it —
-// this is precisely the paper's "read the node, change the data and
-// rewrite it" protocol, and it is what makes get/put indivisible.
+// A Node obtained from a Store is a snapshot whose structure never
+// changes: its header, keys and children are immutable. To change
+// them, edit into a fresh version (every edit below returns one) and
+// Put it — the paper's "read the node, change the data and rewrite it"
+// protocol, which is what makes get/put indivisible. The one mutable
+// part is a leaf's value words: Store.SetValue overwrites one of them in
+// the current version, under the leaf's lock, with a single atomic
+// store, so a put that changes only a value is still indivisible (the
+// before- and after-image differ in one aligned word). Readers outside
+// the lock read values through Val.
 package node
 
 import (
@@ -25,6 +31,10 @@ import (
 //
 // Leaf layout: Keys[i] holds Vals[i]; len(Vals) == len(Keys). A leaf's
 // High may exceed its largest key after deletions (paper footnote 7).
+//
+// New, Clone, Decode and every edit return a node in one block
+// (block.go). A node built by a literal, with its slices apart, works
+// the same.
 type Node struct {
 	ID      base.PageID
 	Leaf    bool
@@ -41,32 +51,28 @@ type Node struct {
 	Children []base.PageID // internal nodes only
 }
 
-// Clone returns a deep copy safe to mutate.
+// Clone returns a deep copy safe to mutate, in one block.
 func (n *Node) Clone() *Node {
-	c := *n
-	c.Keys = append([]base.Key(nil), n.Keys...)
-	c.Vals = append([]base.Value(nil), n.Vals...)
-	c.Children = append([]base.PageID(nil), n.Children...)
-	return &c
-}
-
-// insertAt returns a copy of s, at its final length, with v inserted at
-// position i; removeAt one with s[i] removed. The edits below build
-// their result with these so that a rewrite allocates each slice once,
-// at the size it ends up with.
-func insertAt[T any](s []T, i int, v T) []T {
-	c := make([]T, len(s)+1)
-	copy(c, s[:i])
-	c[i] = v
-	copy(c[i+1:], s[i:])
+	c := n.resized(len(n.Keys), max(len(n.Vals), len(n.Children)))
+	copy(c.Keys, n.Keys)
+	copy(c.Vals, n.Vals)
+	copy(c.Children, n.Children)
 	return c
 }
 
-func removeAt[T any](s []T, i int) []T {
-	c := make([]T, len(s)-1)
-	copy(c, s[:i])
-	copy(c[i:], s[i+1:])
-	return c
+// insertInto fills dst, one longer than src, with src and v inserted at
+// position i; removeFrom fills dst, one shorter, with src less src[i].
+// The edits below allocate their result once, at its final size, and
+// fill it with these.
+func insertInto[T any](dst, src []T, i int, v T) {
+	copy(dst, src[:i])
+	dst[i] = v
+	copy(dst[i+1:], src[i:])
+}
+
+func removeFrom[T any](dst, src []T, i int) {
+	copy(dst, src[:i])
+	copy(dst[i:], src[i+1:])
 }
 
 // Covers reports whether k belongs to this node's key range (Low, High].
@@ -78,8 +84,8 @@ func (n *Node) Covers(k base.Key) bool {
 // i.e. the search for k must follow the link (paper §3.1).
 func (n *Node) HighLess(k base.Key) bool { return n.High.Less(k) }
 
-// searchKeys returns the position of k in Keys and whether it is present.
-func (n *Node) searchKeys(k base.Key) (int, bool) {
+// Index returns the position of k in Keys and whether it is present.
+func (n *Node) Index(k base.Key) (int, bool) {
 	i := findKey(n.Keys, k)
 	return i, i < len(n.Keys) && n.Keys[i] == k
 }
@@ -89,8 +95,8 @@ func (n *Node) LeafFind(k base.Key) (base.Value, bool) {
 	if !n.Leaf {
 		panic("node: LeafFind on internal node")
 	}
-	if i, ok := n.searchKeys(k); ok {
-		return n.Vals[i], true
+	if i, ok := n.Index(k); ok {
+		return n.Val(i), true
 	}
 	return 0, false
 }
@@ -117,47 +123,27 @@ func (n *Node) Next(k base.Key) (next base.PageID, followLink bool) {
 // InsertLeafPair returns a copy of the leaf with (k, v) added. The key
 // must be absent and the leaf must cover k.
 func (n *Node) InsertLeafPair(k base.Key, v base.Value) *Node {
-	i, ok := n.searchKeys(k)
+	i, ok := n.Index(k)
 	if ok {
 		panic(fmt.Sprintf("node: InsertLeafPair duplicate key %d", k))
 	}
-	c := *n
-	c.Keys = insertAt(n.Keys, i, k)
-	c.Vals = insertAt(n.Vals, i, v)
-	return &c
-}
-
-// SetLeafValue returns a copy of the leaf with the value stored under k
-// replaced by v. The key must be present — this is the in-place half of
-// an upsert, which rewrites the node exactly like an insertion but
-// cannot change its pair count.
-func (n *Node) SetLeafValue(k base.Key, v base.Value) *Node {
-	if !n.Leaf {
-		panic("node: SetLeafValue on internal node")
-	}
-	i, ok := n.searchKeys(k)
-	if !ok {
-		panic(fmt.Sprintf("node: SetLeafValue of absent key %d", k))
-	}
-	// The copy shares Keys with n: snapshots are immutable, so only the
-	// slice that changes needs a new array.
-	c := *n
-	c.Vals = append([]base.Value(nil), n.Vals...)
-	c.Vals[i] = v
-	return &c
+	c := n.resized(len(n.Keys)+1, len(n.Vals)+1)
+	insertInto(c.Keys, n.Keys, i, k)
+	insertInto(c.Vals, n.Vals, i, v)
+	return c
 }
 
 // DeleteLeafPair returns a copy of the leaf with k removed, or nil if k
 // is absent.
 func (n *Node) DeleteLeafPair(k base.Key) *Node {
-	i, ok := n.searchKeys(k)
+	i, ok := n.Index(k)
 	if !ok {
 		return nil
 	}
-	c := *n
-	c.Keys = removeAt(n.Keys, i)
-	c.Vals = removeAt(n.Vals, i)
-	return &c
+	c := n.resized(len(n.Keys)-1, len(n.Vals)-1)
+	removeFrom(c.Keys, n.Keys, i)
+	removeFrom(c.Vals, n.Vals, i)
+	return c
 }
 
 // InsertSeparator returns a copy of the internal node with separator sep
@@ -168,14 +154,14 @@ func (n *Node) InsertSeparator(sep base.Key, child base.PageID) (*Node, error) {
 	if n.Leaf {
 		panic("node: InsertSeparator on leaf")
 	}
-	i, ok := n.searchKeys(sep)
+	i, ok := n.Index(sep)
 	if ok {
 		return nil, fmt.Errorf("%w: separator %d already present in node %d", base.ErrCorrupt, sep, n.ID)
 	}
-	c := *n
-	c.Keys = insertAt(n.Keys, i, sep)
-	c.Children = insertAt(n.Children, i+1, child)
-	return &c, nil
+	c := n.resized(len(n.Keys)+1, len(n.Children)+1)
+	insertInto(c.Keys, n.Keys, i, sep)
+	insertInto(c.Children, n.Children, i+1, child)
+	return c, nil
 }
 
 // RemoveSeparator returns a copy with Keys[i] and Children[i+1] removed —
@@ -186,10 +172,10 @@ func (n *Node) RemoveSeparator(i int) *Node {
 	if n.Leaf {
 		panic("node: RemoveSeparator on leaf")
 	}
-	c := *n
-	c.Keys = removeAt(n.Keys, i)
-	c.Children = removeAt(n.Children, i+1)
-	return &c
+	c := n.resized(len(n.Keys)-1, len(n.Children)-1)
+	removeFrom(c.Keys, n.Keys, i)
+	removeFrom(c.Children, n.Children, i+1)
+	return c
 }
 
 // Pairs returns the number of stored pairs: key/value pairs in a leaf,
@@ -241,28 +227,26 @@ func (n *Node) Split(newID base.PageID) (left, right *Node, sep base.Key) {
 	if n.Pairs() < 2 {
 		panic("node: Split of node with <2 pairs")
 	}
-	left = n.Clone()
-	right = &Node{
-		ID:   newID,
-		Leaf: n.Leaf,
-		High: n.High,
-		Link: n.Link,
-	}
 	if n.Leaf {
 		m := (len(n.Keys) + 1) / 2 // left keeps m pairs incl. separator key
 		sep = n.Keys[m-1]
-		right.Keys = append([]base.Key(nil), n.Keys[m:]...)
-		right.Vals = append([]base.Value(nil), n.Vals[m:]...)
-		left.Keys = left.Keys[:m]
-		left.Vals = left.Vals[:m]
+		left = n.resized(m, m)
+		copy(left.Keys, n.Keys)
+		copy(left.Vals, n.Vals)
+		right = New(true, len(n.Keys)-m)
+		copy(right.Keys, n.Keys[m:])
+		copy(right.Vals, n.Vals[m:])
 	} else {
 		m := len(n.Keys) / 2 // Keys[m] moves up
 		sep = n.Keys[m]
-		right.Keys = append([]base.Key(nil), n.Keys[m+1:]...)
-		right.Children = append([]base.PageID(nil), n.Children[m+1:]...)
-		left.Keys = left.Keys[:m]
-		left.Children = left.Children[:m+1]
+		left = n.resized(m, m+1)
+		copy(left.Keys, n.Keys)
+		copy(left.Children, n.Children)
+		right = New(false, len(n.Keys)-m-1)
+		copy(right.Keys, n.Keys[m+1:])
+		copy(right.Children, n.Children[m+1:])
 	}
+	right.ID, right.High, right.Link = newID, n.High, n.Link
 	right.Low = base.FiniteBound(sep)
 	left.High = base.FiniteBound(sep)
 	left.Link = newID

@@ -28,10 +28,12 @@ type Prefetcher interface {
 // common warm-cache case takes no lock, reads no page, decodes and
 // allocates nothing, and writes no shared memory but a hit counter.
 // Otherwise it pins the frame and decodes in place under the frame
-// latch. Put encodes into the frame in place, without first reading the
-// page it replaces, and caches the node it just encoded. Nodes are
-// immutable snapshots, so a cached node can be shared freely; a pin
-// only spans the decode or encode, never the caller's use of the node,
+// latch. Put caches the node on the frame and encodes it into the frame
+// in place, without first reading the page it replaces; SetValue does
+// the same with its one-word store in between. A node's structure is
+// immutable and its value words change only through SetValue, so a
+// cached node can be shared freely; a pin only spans the decode or
+// encode, never the caller's use of the node,
 // which is what lets the tree above stay lock-free while frames are
 // evicted and reused underneath it (the §5.3 epoch rules gate the Free,
 // the pool's write-back gates the frame reuse).
@@ -99,7 +101,8 @@ func (s *PagedStore) Get(id base.PageID) (*Node, error) {
 // that load is where this Get takes effect. On the pinned path the
 // cached node is set only under the frame latch, so it always matches
 // the frame's bytes; two racing readers may both decode and both cache,
-// which is benign (equal content, immutable nodes).
+// which is benign: both hold the latch shared, so a writer's install
+// (Put, SetValue) comes after either.
 func (s *PagedStore) getPooled(id base.PageID) (*Node, error) {
 	if fr := s.pool.Peek(id); fr != nil {
 		if n := storage.CachedObject[Node](fr); n != nil && n.ID == id {
@@ -126,32 +129,61 @@ func (s *PagedStore) getPooled(id base.PageID) (*Node, error) {
 }
 
 // Put implements Store.
-func (s *PagedStore) Put(n *Node) error {
+func (s *PagedStore) Put(n *Node) error { return s.write(n, -1, 0) }
+
+// SetValue implements Store: the page is rewritten with the node the
+// caller holds, value i now v, in the order a Put would and with the
+// store inside it.
+//
+// Over a pool the order is what keeps the store indivisible. Under the
+// frame's exclusive latch, SetValue first installs n as the frame's
+// cached node, then stores the word, then re-encodes the page and marks
+// it dirty. A reader that saw the new value read it from n after the
+// store; from the install on, every Get finds n on the frame or waits on
+// the latch, and once the latch is released the bytes hold the new value
+// too, so an eviction and a later fault-in serve it as well. Stored
+// before the install, the word would be visible through n while the
+// frame still cached an older decode of the page (an eviction and a
+// fault-in between the caller's Get and SetValue make one) or while the
+// page, evicted, was re-read from the old image: a reader could see the
+// new value and then the old. Without the re-encode the old image would
+// come back at the next fault-in.
+func (s *PagedStore) SetValue(n *Node, i int, v base.Value) error { return s.write(n, i, v) }
+
+// write publishes n as page n.ID, storing v as its value i first when
+// i ≥ 0.
+func (s *PagedStore) write(n *Node, i int, v base.Value) error {
 	if s.closed.Load() {
 		return base.ErrClosed
 	}
-	if s.pool != nil {
-		// Refuse a bad node before a frame is claimed for it: past this
-		// point the frame's old bytes are gone and the encode must land.
-		if err := encodable(n, s.under.PageSize()); err != nil {
+	if s.pool == nil {
+		if i >= 0 {
+			n.setVal(i, v) // a Get decodes a fresh node: n is the caller's alone
+		}
+		buf := make([]byte, s.under.PageSize())
+		if err := Encode(n, buf); err != nil {
 			return err
 		}
-		fr, err := s.pool.PinOverwrite(n.ID)
-		if err != nil {
-			return err
-		}
-		encode(n, fr.Data())
-		storage.SetCachedObject(fr, n)
-		fr.MarkDirty()
-		fr.Unlock()
-		s.pool.Unpin(fr)
-		return nil
+		return s.under.Write(n.ID, buf)
 	}
-	buf := make([]byte, s.under.PageSize())
-	if err := Encode(n, buf); err != nil {
+	// Refuse a bad node before a frame is claimed for it: past this
+	// point the frame's old bytes are gone and the encode must land.
+	if err := encodable(n, s.under.PageSize()); err != nil {
 		return err
 	}
-	return s.under.Write(n.ID, buf)
+	fr, err := s.pool.PinOverwrite(n.ID)
+	if err != nil {
+		return err
+	}
+	storage.SetCachedObject(fr, n)
+	if i >= 0 {
+		n.setVal(i, v)
+	}
+	encode(n, fr.Data())
+	fr.MarkDirty()
+	fr.Unlock()
+	s.pool.Unpin(fr)
+	return nil
 }
 
 // Allocate implements Store.

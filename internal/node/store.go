@@ -14,13 +14,20 @@ import (
 // locked node — locks live in a separate table), and a Get concurrent
 // with a Put returns a complete before- or after-image.
 //
-// Nodes returned by Get are immutable snapshots and must not be
-// modified; Put publishes a new snapshot for the page named by n.ID.
+// The structure of a node returned by Get never changes; Put publishes
+// a new version for the page named by n.ID. The value words are the one
+// mutable part: SetValue overwrites one in place, and a reader sees
+// either the value before or the value after, and once it has seen the
+// after-value no later Get of the page returns the before-value.
 type Store interface {
 	// Get returns the current snapshot of the page.
 	Get(id base.PageID) (*Node, error)
 	// Put atomically replaces the snapshot of page n.ID.
 	Put(n *Node) error
+	// SetValue stores v as the value of pair i of leaf n, in place. n
+	// must be the page's current version, read by Get under the page's
+	// lock, and the caller must hold that lock across the call.
+	SetValue(n *Node, i int, v base.Value) error
 	// Allocate reserves a fresh page id.
 	Allocate() (base.PageID, error)
 	// Free returns a page to the allocator.
@@ -37,9 +44,9 @@ type Store interface {
 
 // MemStore keeps node snapshots in memory behind atomic pointers. It is
 // the fastest substrate and the reference implementation of the
-// indivisibility contract: Put is a single pointer swap and Get takes
-// no lock and writes no shared memory — closed check, directory index,
-// pointer load.
+// indivisibility contract: Put is a single pointer swap, SetValue a
+// single word store, and Get takes no lock and writes no shared memory
+// — closed check, directory index, pointer load.
 type MemStore struct {
 	// Read by every Get and Put, written almost never: closed once, the
 	// prime block per root split, the directory's spine once per
@@ -96,6 +103,20 @@ func (s *MemStore) Put(n *Node) error {
 		return fmt.Errorf("%w: page %d unallocated", base.ErrCorrupt, n.ID)
 	}
 	sl.Store(n)
+	return nil
+}
+
+// SetValue implements Store with one atomic store into the version the
+// page's slot holds. Every reader reaches a page through that slot, so
+// a reader that saw the new value can only see it or a later one.
+func (s *MemStore) SetValue(n *Node, i int, v base.Value) error {
+	if s.closed.Load() {
+		return base.ErrClosed
+	}
+	if sl := s.dir.At(n.ID); sl == nil || sl.Load() != n {
+		return fmt.Errorf("%w: SetValue on a version page %d no longer holds", base.ErrCorrupt, n.ID)
+	}
+	n.setVal(i, v)
 	return nil
 }
 

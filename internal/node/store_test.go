@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -162,8 +163,51 @@ func TestStoreFreeReuse(t *testing.T) {
 	}
 }
 
+// TestStoreSetValue: SetValue overwrites one value of the current
+// version in place — a later Get of the page returns it, whether it
+// reads the node the writer holds or decodes the page — and MemStore
+// refuses a version the page no longer holds.
+func TestStoreSetValue(t *testing.T) {
+	for name, mk := range storeFactories(t) {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			defer s.Close()
+			id, _ := s.Allocate()
+			if err := s.Put(leafNode(id, 5, 9)); err != nil {
+				t.Fatal(err)
+			}
+			n, err := s.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetValue(n, 1, 7); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Keys, []base.Key{5, 9}) || !reflect.DeepEqual(got.Vals, []base.Value{50, 7}) {
+				t.Fatalf("after SetValue: %v vals=%v", got, got.Vals)
+			}
+			if name != "mem" {
+				return
+			}
+			if got != n {
+				t.Fatal("SetValue made a new version")
+			}
+			if err := s.Put(n.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.SetValue(n, 0, 1); !errors.Is(err, base.ErrCorrupt) {
+				t.Fatalf("SetValue on a replaced version: %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // TestMemStoreSnapshotIsolation: a Get taken before a Put must keep
-// observing the old image (snapshots are immutable).
+// observing the old image (a version's structure is immutable).
 func TestMemStoreSnapshotIsolation(t *testing.T) {
 	s := NewMemStore()
 	defer s.Close()

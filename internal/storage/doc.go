@@ -108,9 +108,23 @@
 //
 // How this composes with the paper's §5.3 reclamation epochs, one layer
 // up: the tree never holds frame pointers across operations
-// (internal/node hands out immutable Node values), so a lock-free
-// search racing an eviction either finds the page resident or faults it
-// back in — both serve the bytes the last writer put there. A page
+// (internal/node hands out Node values whose structure never changes),
+// so a lock-free search racing an eviction either finds the page
+// resident or faults it back in — both serve the bytes the last writer
+// put there.
+//
+// The one in-place write, node.PagedStore.SetValue (an overwrite of a
+// leaf value), leans on the latch the same way. Holding the frame's
+// latch exclusively, it first installs the writer's node as the frame's
+// cached object, then stores the value word into it, then re-encodes
+// the page and marks it dirty. Anyone who can see the new value read it
+// from that node after the store. From the install on, a pinless Get
+// finds that node, a pinned one waits on the latch, and once the latch
+// is released the bytes carry the value too, so a write-back and a later
+// fault-in serve it. Stored before the install, the value would be
+// visible through the writer's node while the frame cached an older
+// decode, or while the page, evicted in between, was re-read from its
+// old image: one reader could see the new value and then the old. A page
 // retired by compression is Freed only after every epoch that could
 // still reach it has exited. Free pins the page's frame like any other
 // pinner, marks it doomed — no new pin, no claim — unmaps the page and
